@@ -241,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--restarts", type=int, default=50)
-    p.add_argument("--iters", type=int, default=500)
+    p.add_argument("--iters", type=int, default=500,
+                   help="cap on see-saw rounds of two half-steps per restart")
     p.add_argument("--mehta-samples", type=int, default=500)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
@@ -252,7 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", required=True)
     p.add_argument("--family", default="isotropic", choices=["isotropic"])
     p.add_argument("--steps", type=int, default=101)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int, default=None,
+                   help="unused: the sweep is deterministic; accepted so that "
+                        "existing invocations keep working")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_detect)
 

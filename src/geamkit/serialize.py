@@ -19,7 +19,7 @@ from .maps import Witness
 
 GEAM_FORMAT = "geam/1"
 WITNESS_FORMAT = "witness/1"
-CERTIFICATION_FORMAT = "certification/1"
+CERTIFICATION_FORMAT = "certification/2"
 ANALYSIS_FORMAT = "analysis/1"
 
 DETECTION_COLUMNS = ("family", "parameter", "k", "L", "K", "expectation", "detected")
@@ -144,6 +144,12 @@ def certification_document(report, *, witness_fingerprint: str | None = None,
         "iters": report.iters,
         "seed": report.seed,
         "tolerance": report.tolerance,
+        "bracket": {
+            "lower_bound": report.lower_bound,
+            "upper_bound": report.upper_bound,
+            "gap": report.upper_bound - report.lower_bound,
+        },
+        "convergence": report.convergence._asdict(),
     }
     if witness_fingerprint is not None:
         doc["witness_fingerprint"] = witness_fingerprint

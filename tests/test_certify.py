@@ -204,3 +204,64 @@ def test_superop_from_choi_round_trip_in_certification(qubit_geam):
     w = choi_witness(phi)
     back = superop_from_choi(w.w, 2)
     assert np.abs(back.matrix - phi.matrix).max() < 1e-12
+
+
+# ------------------------------------------------------------------ see-saw
+
+def _draw_rotation(m, rng):
+    """Haar orthogonal matrix on the complement of (1,..,1), identity on it."""
+    ones = np.ones((m, 1)) / np.sqrt(m)
+    q, _ = np.linalg.qr(np.hstack([ones, rng.standard_normal((m, m - 1))]))
+    comp = q[:, 1:]
+    z, r = np.linalg.qr(rng.standard_normal((m - 1, m - 1)))
+    z = z * np.sign(np.diag(r))
+    return np.full((m, m), 1.0 / m) + comp @ z @ comp.T
+
+
+def test_k_equals_d_close_eigenvalues_exact(qutrit_geam):
+    # the two lowest eigenvalues lie 8.5e-5 apart; a fixed 50 x 500
+    # power iteration stops 2.2e-7 above lambda_min on this witness
+    rng = np.random.default_rng(8)
+    rots = [_draw_rotation(3, rng) for _ in range(4)]
+    w = build_witness(qutrit_geam, rots, 3, 1, 4).w
+    rep = min_schmidt_k(w, 3, seed=0)
+    lam = np.linalg.eigvalsh(w)[0]
+    assert abs(rep.min_value - lam) < 1e-12
+    assert rep.lower_bound == rep.upper_bound == rep.min_value
+    assert rep.convergence.method == "eigh"
+
+
+def _fixture_witnesses(geam):
+    d, n = geam.d, geam.n_groups
+    rots = rotation_set(geam, 1)
+    for k in range(1, d):
+        for l, kk in ((1, n), (1, 1), (2, n)):
+            yield k, build_witness(geam, rots, k, l, kk).w
+
+
+def test_seesaw_bracket_rank_and_oracle(qubit_geam, qutrit_geam):
+    for geam in (qubit_geam, qutrit_geam):
+        for k, w in _fixture_witnesses(geam):
+            rep = min_schmidt_k(w, k, seed=0)
+            assert rep.lower_bound <= rep.min_value == rep.upper_bound
+            assert abs(rep.lower_bound - np.linalg.eigvalsh(w)[0]) < 1e-12
+            assert np.linalg.svd(rep.argmin.c, compute_uv=False)[k] <= 1e-10
+            assert rep.min_value <= brute_force_oracle(w, k, 20_000, seed=0) + 1e-9
+            conv = rep.convergence
+            assert conv.method == "see-saw"
+            assert 0 < conv.half_steps <= 2 * rep.iters
+            assert 1 <= conv.restarts_near_best <= rep.restarts
+
+
+def test_seesaw_values_never_rise(qubit_geam, qutrit_geam):
+    from geamkit.certify import _seesaw, _starts
+
+    for geam in (qubit_geam, qutrit_geam):
+        d = geam.d
+        for k, w in _fixture_witnesses(geam):
+            values, states, history, half_steps, _ = _seesaw(
+                w, d, k, _starts(d, k, 20, 3), 400)
+            assert history.shape == (half_steps + 1, 20)
+            assert np.diff(history, axis=0).max() <= 1e-12
+            again = np.einsum("rx,xy,ry->r", states.conj(), w, states).real
+            assert np.abs(again - values).max() < 1e-10

@@ -118,6 +118,38 @@ def test_detect(tmp_path, qubit_geam_file):
     assert flags.count("1") == sum(1 for i in range(101) if i / 100 > 1 / 3)
 
 
+def test_detect_without_seed(tmp_path, qubit_geam_file):
+    wpath = tmp_path / "w.json"
+    assert run("witness", "--geam", qubit_geam_file, "--k", 1, "--l", 1,
+               "--kk", 3, "--rotation-seed", 5, "--out", wpath,
+               "--no-timestamp") == 0
+    with_seed, without = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run("detect", "--witness", wpath, "--steps", 11, "--seed", 3,
+               "--out", with_seed) == 0
+    assert run("detect", "--witness", wpath, "--steps", 11, "--out", without) == 0
+    assert without.read_bytes() == with_seed.read_bytes()
+
+
+def test_certificate_carries_bracket_and_convergence(tmp_path, qubit_geam_file):
+    wpath = tmp_path / "w.json"
+    assert run("witness", "--geam", qubit_geam_file, "--k", 1, "--l", 1,
+               "--kk", 3, "--rotation-seed", 5, "--out", wpath,
+               "--no-timestamp") == 0
+    for k, method in ((1, "see-saw"), (2, "eigh")):
+        cpath = tmp_path / f"cert{k}.json"
+        run("certify", "--witness", wpath, "--k", k, "--seed", 1,
+            "--mehta-samples", 10, "--out", cpath, "--no-timestamp")
+        cert = json.loads(cpath.read_text())
+        assert cert["format"] == "certification/2"
+        bracket = cert["bracket"]
+        assert bracket["lower_bound"] <= bracket["upper_bound"] == cert["min_value"]
+        assert cert["convergence"]["method"] == method
+        if k == 2:
+            assert bracket["gap"] == 0.0
+        else:
+            assert 0 < cert["convergence"]["half_steps"] <= 2 * cert["iters"]
+
+
 def test_io_error_exit_code(tmp_path):
     code = run("analyze", "--geam", tmp_path / "missing.json", "--seed", 0,
                "--out", tmp_path / "x.json")
