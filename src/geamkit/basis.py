@@ -77,10 +77,6 @@ class HermitianBasis:
     def m_sizes(self) -> tuple:
         return tuple(g.shape[0] + 1 for g in self.groups)
 
-    @property
-    def identity_element(self) -> np.ndarray:
-        return np.eye(self.d, dtype=complex) / np.sqrt(self.d)
-
     def flat(self) -> list[np.ndarray]:
         return [g for grp in self.groups for g in grp]
 
@@ -147,7 +143,7 @@ def gell_mann_hermitian_basis(d: int, m_sizes, unitary_seed=None) -> HermitianBa
 
 @dataclass(frozen=True)
 class FrameOperators:
-    """Per-group frame operators H and the group sums G_alpha.
+    """Per-group frame operators H.
 
     h[alpha] has shape (M_alpha, d, d); the first M_alpha - 1 entries are
     G_alpha - sqrt(M)(1 + sqrt(M)) G_{alpha,k} and the last one is
@@ -156,7 +152,6 @@ class FrameOperators:
     """
 
     h: tuple
-    g_sum: tuple
 
     @property
     def n_groups(self) -> int:
@@ -166,7 +161,6 @@ class FrameOperators:
 def frame_operators(basis: HermitianBasis) -> FrameOperators:
     """Build the traceless frame operators of every group."""
     hs = []
-    gsums = []
     for grp in basis.groups:
         m = grp.shape[0] + 1
         g_sum = grp.sum(axis=0)
@@ -175,5 +169,4 @@ def frame_operators(basis: HermitianBasis) -> FrameOperators:
         h[:m - 1] = g_sum[None, :, :] - scale * grp
         h[m - 1] = (1 + np.sqrt(m)) * g_sum
         hs.append(h)
-        gsums.append(g_sum)
-    return FrameOperators(h=tuple(hs), g_sum=tuple(gsums))
+    return FrameOperators(h=tuple(hs))

@@ -20,9 +20,9 @@ from .geam import GeamParams, build_geam, coincidence_bound, coincidence_index, 
     conical_design_check, equidistance, validate_geam
 from .linalg import random_density_matrix, random_trace_one_operator
 from .maps import build_witness, rotation_set, superop_from_choi
-from .serialize import certification_document, fingerprint, geam_document, \
-    load_geam, load_witness, read_json, save_geam, save_witness, write_detection_csv, \
-    write_json
+from .serialize import ANALYSIS_FORMAT, certification_document, fingerprint, \
+    geam_document, load_geam, load_witness, read_json, save_geam, save_witness, \
+    write_detection_csv, write_json
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -82,8 +82,9 @@ def cmd_analyze(args) -> int:
     in_fp = fingerprint(read_json(args.geam))
     report = validate_geam(geam)
     eq = equidistance(geam)
+    s = geam.derived.s
     doc = {
-        "format": "analysis/1",
+        "format": ANALYSIS_FORMAT,
         "input_fingerprint": in_fp,
         "seed": args.seed,
         "samples": args.samples,
@@ -102,7 +103,7 @@ def cmd_analyze(args) -> int:
         },
     }
     ok = report.passed
-    if eq.equidistant:
+    if s is not None:
         design = conical_design_check(geam)
         doc["conical_design"] = {
             "kappa_plus": design.kappa_plus,
@@ -118,7 +119,7 @@ def cmd_analyze(args) -> int:
         for i in range(args.samples):
             rho = random_density_matrix(d, rng, rank=1 if i % 2 else None)
             c_n = coincidence_index(geam, rho, n)
-            predicted = eq.s * (np.trace(rho @ rho).real - 1.0 / d) + geam.derived.mu(n)
+            predicted = s * (np.trace(rho @ rho).real - 1.0 / d) + geam.derived.mu(n)
             purity_resid = max(purity_resid, abs(c_n - predicted))
         worst_slack = np.inf
         gap_n = 0.0

@@ -40,28 +40,25 @@ def _check_density(rho: np.ndarray):
         raise ValidationError("state is not positive semidefinite")
 
 
-def witness_expectation(witness, rho: np.ndarray, *, check: bool = True) -> float:
+def witness_expectation(witness, rho: np.ndarray) -> float:
     """Real expectation value Tr(W rho) of a witness on a density matrix."""
     w = witness.w if isinstance(witness, Witness) else np.asarray(witness)
-    if check:
-        _check_density(rho)
+    _check_density(rho)
     val = np.trace(w @ rho)
     if abs(val.imag) > 1e-10:
         raise ValidationError(f"expectation has imaginary part {val.imag:.3e}")
     return float(val.real)
 
 
-def detection_threshold(witness, family=None) -> float | None:
-    """Parameter where the witness expectation crosses zero on a family.
+def detection_threshold(witness) -> float | None:
+    """Parameter where the witness expectation crosses zero on isotropic states.
 
     The expectation is affine in the mixing parameter, so when a sign
     change exists on [0, 1] the root is exact: p* = -f(0)/(f(1) - f(0)).
-    Returns None without a sign change. Default family: isotropic states.
+    Returns None without a sign change.
     """
     w = witness.w if isinstance(witness, Witness) else np.asarray(witness)
-    if family is None:
-        d = int(round(np.sqrt(np.sqrt(w.size))))
-        family = isotropic_family(d)
+    family = isotropic_family(int(round(np.sqrt(np.sqrt(w.size)))))
     f0 = witness_expectation(w, family(0.0))
     f1 = witness_expectation(w, family(1.0))
     if f0 * f1 >= 0:

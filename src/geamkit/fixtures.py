@@ -55,10 +55,3 @@ def qubit_two_group(b1: float = 0.8, b2: float = 0.7) -> Geam:
     params = GeamParams(d=2, m=(3, 2), gamma=(0.5, 0.5), b=(b1, b2),
                         tau_sign=(1, 1))
     return build_geam(gell_mann_hermitian_basis(2, params.m), params)
-
-
-FIXTURES = {
-    "qubit_mub": qubit_mub,
-    "qutrit_mub": qutrit_mub,
-    "qutrit_single_frame": qutrit_single_frame,
-}

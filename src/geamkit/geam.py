@@ -87,6 +87,10 @@ class DerivedParams:
     s_per_group: squared within-frame distances S = a^2 (b - c).
     tau: signed frame coefficients, tau = sign * sqrt(S / (M (sqrt(M)+1)^2)).
     s: the common S when all groups agree within 1e-10, else None.
+
+    s is the one S every formula reads (2-design constants, coincidence
+    bound, a_k), because it is exact in the parameters. equidistance()
+    measures S from the operators as a check, which analyze reports.
     """
 
     a: tuple
@@ -326,20 +330,25 @@ class DesignCheckResult:
     residual: float
 
 
+def common_s(geam: Geam) -> float:
+    """The common S = geam.derived.s; raises when the frames do not share one."""
+    s = geam.derived.s
+    if s is None:
+        raise ValidationError(
+            f"needs an equidistant GEAM, got S per group {geam.derived.s_per_group}"
+        )
+    return s
+
+
 def conical_design_check(geam: Geam) -> DesignCheckResult:
     """Verify sum_P P (x) P = kappa_+ I (x) I + kappa_- F for equidistant GEAMs.
 
-    kappa_+ = mu_N - S/d and kappa_- = S, with F the flip operator.
-    Raises when the input is not equidistant.
+    kappa_+ = mu_N - S/d and kappa_- = S, with F the flip operator and S
+    the analytic geam.derived.s; the residual measures the operators
+    against these constants. Raises when the input is not equidistant.
     """
-    eq = equidistance(geam)
-    if not eq.equidistant:
-        raise ValidationError(
-            f"conical design check needs an equidistant GEAM, got S per group "
-            f"{eq.s_per_group}"
-        )
     d = geam.d
-    s = eq.s
+    s = common_s(geam)
     mu_n = geam.derived.mu(geam.n_groups)
     kp, km = mu_n - s / d, s
     total = np.zeros((d * d, d * d), dtype=complex)
@@ -366,12 +375,11 @@ def coincidence_bound(geam: Geam, x: np.ndarray, l: int) -> float:
 
     Valid for unit-trace X (the convention under which the bound is an
     equality at l = N); general X obey the same bound with |Tr X|^2
-    weights, which reduces to this form at Tr X = 1.
+    weights, which reduces to this form at Tr X = 1. S is the analytic
+    geam.derived.s; raises when the GEAM is not equidistant.
     """
     if not 1 <= l <= geam.n_groups:
         raise ValidationError(f"l = {l} out of range 1..{geam.n_groups}")
-    eq = equidistance(geam)
-    if not eq.equidistant:
-        raise ValidationError("coincidence bound requires an equidistant GEAM")
+    s = common_s(geam)
     hs_norm = np.trace(x.conj().T @ x).real
-    return float(eq.s * (hs_norm - 1.0 / geam.d) + geam.derived.mu(l))
+    return float(s * (hs_norm - 1.0 / geam.d) + geam.derived.mu(l))

@@ -18,10 +18,6 @@ def vec(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).reshape(-1)
 
 
-def unvec(v: np.ndarray, d: int) -> np.ndarray:
-    return np.asarray(v).reshape(d, d)
-
-
 def is_hermitian(a: np.ndarray, tol: float = 1e-12) -> bool:
     return bool(np.abs(a - a.conj().T).max() <= tol)
 

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import ValidationError
-from .geam import Geam, equidistance
+from .geam import Geam, common_s
 from .linalg import as_rng, vec
 
 HERMITICITY_PRESERVING_TOL = 1e-10
@@ -176,16 +176,16 @@ def a_coefficient(geam: Geam, k: int, l: int, kk: int) -> float:
     (X (x) I) applied to such a maximally entangled vector, so the map is
     k-positive. At k = 1, T = (d - 1) S; for every k, T > 0, so the trace
     factor is always positive.
+
+    S is the analytic geam.derived.s, so the weight is O(1) arithmetic on
+    the parameters; raises when the GEAM is not equidistant.
     """
     d = geam.d
     if not 1 <= l <= kk <= geam.n_groups:
         raise ValidationError(f"need 1 <= L <= K <= N, got L={l}, K={kk}")
     if not 1 <= k <= d:
         raise ValidationError(f"need 1 <= k <= d, got k={k}")
-    eq = equidistance(geam)
-    if not eq.equidistant:
-        raise ValidationError("the map family requires an equidistant GEAM")
-    s = eq.s
+    s = common_s(geam)
     mu_l, mu_k = geam.derived.mu(l), geam.derived.mu(kk)
     return float(-d * (mu_k - 2 * mu_l) + (k * d - 1) * s)
 

@@ -14,7 +14,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .errors import ValidationError
-from .geam import Geam, GeamParams, derive_params
+from .geam import Geam, GeamParams, derive_params, validate_geam
 from .maps import Witness
 
 GEAM_FORMAT = "geam/1"
@@ -91,6 +91,8 @@ def save_geam(geam: Geam, path, *, timestamp: bool = True) -> str:
 
 
 def load_geam(path) -> Geam:
+    """Read a GEAM document whose operators pass every validate_geam check,
+    so formulas may read geam.derived; else raise naming the failed checks."""
     doc = read_json(path)
     if doc.get("format") != GEAM_FORMAT:
         raise ValidationError(f"not a GEAM document: format {doc.get('format')!r}")
@@ -105,8 +107,12 @@ def load_geam(path) -> Geam:
     for m in params.m:
         groups.append(np.array(flat[i:i + m]))
         i += m
-    return Geam(params=params, derived=derive_params(params), ops=tuple(groups),
+    geam = Geam(params=params, derived=derive_params(params), ops=tuple(groups),
                 basis_meta=dict(doc.get("basis", {})))
+    failed = [c.name for c in validate_geam(geam).checks if not c.passed]
+    if failed:
+        raise ValidationError(f"GEAM document fails validation: {'; '.join(failed)}")
+    return geam
 
 
 def witness_document(witness: Witness) -> dict:

@@ -1,7 +1,10 @@
 import json
+import sys
 
 import pytest
 
+import geamkit.geam
+from geamkit import ValidationError, build_witness, load_geam, qubit_mub, rotation_set
 from geamkit.cli import main
 
 
@@ -154,6 +157,54 @@ def test_io_error_exit_code(tmp_path):
     code = run("analyze", "--geam", tmp_path / "missing.json", "--seed", 0,
                "--out", tmp_path / "x.json")
     assert code == 4
+
+
+def test_loaded_operators_are_validated(tmp_path, qubit_geam_file, capsys):
+    # a shift of the diagonal keeps every within-frame distance, so only a
+    # check of the operators against the parameters can catch it
+    doc = json.loads(qubit_geam_file.read_text())
+    for op in doc["operators"][:2]:
+        for i in range(2):
+            op[i][i][0] += 1e-3
+    bad = tmp_path / "shifted.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match="tight frame"):
+        load_geam(bad)
+    capsys.readouterr()
+    for argv in (("witness", "--geam", bad, "--k", 1, "--l", 1, "--kk", 3,
+                  "--rotation-seed", 0, "--out", tmp_path / "w.json"),
+                 ("analyze", "--geam", bad, "--seed", 0,
+                  "--out", tmp_path / "a.json")):
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+@pytest.fixture()
+def equidistance_calls(monkeypatch):
+    """Count equidistance calls through every geamkit module that imports it."""
+    calls = []
+    original = geamkit.geam.equidistance
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "geamkit" and \
+                getattr(module, "equidistance", None) is original:
+            monkeypatch.setattr(module, "equidistance", counted)
+    return calls
+
+
+def test_equidistance_measured_once(tmp_path, qubit_geam_file, equidistance_calls):
+    assert run("analyze", "--geam", qubit_geam_file, "--seed", 7,
+               "--out", tmp_path / "a.json", "--no-timestamp") == 0
+    assert len(equidistance_calls) == 1
+    geam = qubit_mub()
+    build_witness(geam, rotation_set(geam, 0), 1, 1, 3)
+    assert len(equidistance_calls) == 1
 
 
 def test_byte_identical_reruns(tmp_path):
