@@ -13,7 +13,7 @@ from .errors import GeamError, PositivityError, ValidationError
 from .fixtures import (mub_layout, qubit_mub, qubit_two_group, qutrit_mub,
                        qutrit_single_frame)
 from .geam import (DerivedParams, Geam, GeamParams, ValidationReport,
-                   build_geam, coincidence_bound, coincidence_index,
+                   analyze_geam, build_geam, coincidence_bound, coincidence_index,
                    conical_design_check, derive_params, equidistance,
                    validate_geam)
 from .linalg import (flip_operator, haar_unitary, max_entangled_projector,

@@ -10,18 +10,15 @@ violation, 4 I/O error.
 import argparse
 import sys
 
-import numpy as np
-
 from .basis import gell_mann_hermitian_basis
 from .certify import VERDICT_VIOLATED, mehta_ratio, min_schmidt_k
 from .detect import detection_threshold, sweep_isotropic
 from .errors import GeamError, ValidationError
-from .geam import GeamParams, build_geam, coincidence_bound, coincidence_index, \
-    conical_design_check, equidistance, validate_geam
-from .linalg import random_density_matrix, random_trace_one_operator
+from .fixtures import mub_layout
+from .geam import GeamParams, analyze_geam, build_geam, validate_geam
 from .maps import build_witness, rotation_set, superop_from_choi
 from .serialize import ANALYSIS_FORMAT, certification_document, fingerprint, \
-    geam_document, load_geam, load_witness, read_json, save_geam, save_witness, \
+    load_geam, load_witness, read_json, save_geam, save_witness, \
     write_detection_csv, write_json
 
 EXIT_OK = 0
@@ -30,21 +27,14 @@ EXIT_CERTIFICATION = 3
 EXIT_IO = 4
 
 
-def _parse_layout(text: str, d: int) -> list[int]:
-    if text.strip().lower() == "mub":
-        return [d] * (d + 1)
+def _parse_list(text: str, name: str, kind, n: int | None = None) -> list:
+    """Comma-separated values of one kind; with n, one value is repeated n times."""
     try:
-        return [int(tok) for tok in text.split(",")]
+        vals = [kind(tok) for tok in text.split(",")]
     except ValueError:
-        raise ValidationError(f"cannot parse layout {text!r}")
-
-
-def _parse_floats(text: str, n: int, name: str) -> list[float]:
-    toks = text.split(",")
-    try:
-        vals = [float(t) for t in toks]
-    except ValueError:
-        raise ValidationError(f"cannot parse {name} {text!r}")
+        raise ValidationError(f"cannot parse {name} {text!r}") from None
+    if n is None:
+        return vals
     if len(vals) == 1:
         return vals * n
     if len(vals) != n:
@@ -52,95 +42,49 @@ def _parse_floats(text: str, n: int, name: str) -> list[float]:
     return vals
 
 
+def _int_at_least(low: int):
+    """argparse type: an int >= low (seeds >= 0, counts >= 1)."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"
+    return parse
+
+
 def cmd_build_geam(args) -> int:
-    m = _parse_layout(args.layout, args.d)
+    if args.layout.strip().lower() == "mub":
+        m = mub_layout(args.d)
+    else:
+        m = _parse_list(args.layout, "layout", int)
     n = len(m)
     if args.gamma.strip().lower() == "uniform":
         gamma = [1.0 / n] * n
     else:
-        gamma = _parse_floats(args.gamma, n, "gamma")
-    b = _parse_floats(args.b, n, "b")
+        gamma = _parse_list(args.gamma, "gamma", float, n)
+    b = _parse_list(args.b, "b", float, n)
     auto = args.tau.strip().lower() == "auto"
-    if auto:
-        tau_sign = [1] * n
-    else:
-        tau_sign = [int(t) for t in args.tau.split(",")]
-        if len(tau_sign) == 1:
-            tau_sign = tau_sign * n
+    tau_sign = [1] * n if auto else _parse_list(args.tau, "tau", int, n)
     params = GeamParams(d=args.d, m=m, gamma=gamma, b=b, tau_sign=tau_sign)
     basis = gell_mann_hermitian_basis(args.d, m, unitary_seed=args.unitary_seed)
     geam = build_geam(basis, params, auto_sign=auto)
     report = validate_geam(geam)
-    save_geam(geam, args.out, timestamp=not args.no_timestamp)
+    fp = save_geam(geam, args.out, timestamp=not args.no_timestamp)
     print(report.summary())
-    print(f"wrote {args.out} (fingerprint {fingerprint(geam_document(geam))})")
+    print(f"wrote {args.out} (fingerprint {fp})")
     return EXIT_OK if report.passed else EXIT_VALIDATION
 
 
 def cmd_analyze(args) -> int:
     geam = load_geam(args.geam)
-    in_fp = fingerprint(read_json(args.geam))
-    report = validate_geam(geam)
-    eq = equidistance(geam)
-    s = geam.derived.s
-    doc = {
-        "format": ANALYSIS_FORMAT,
-        "input_fingerprint": in_fp,
-        "seed": args.seed,
-        "samples": args.samples,
-        "validation": {
-            "passed": report.passed,
-            "max_deviation": report.max_deviation,
-            "checks": [{"name": c.name, "deviation": c.deviation,
-                        "tolerance": c.tolerance, "passed": c.passed}
-                       for c in report.checks],
-        },
-        "equidistance": {
-            "equidistant": eq.equidistant,
-            "s_per_group": list(eq.s_per_group),
-            "s": eq.s,
-            "cross_group_range": list(eq.cross_group_range) if eq.cross_group_range else None,
-        },
-    }
-    ok = report.passed
-    if s is not None:
-        design = conical_design_check(geam)
-        doc["conical_design"] = {
-            "kappa_plus": design.kappa_plus,
-            "kappa_minus": design.kappa_minus,
-            "residual": design.residual,
-            "passed": design.residual <= 1e-9,
-        }
-        ok = ok and design.residual <= 1e-9
-
-        rng = np.random.default_rng(args.seed)
-        d, n = geam.d, geam.n_groups
-        purity_resid = 0.0
-        for i in range(args.samples):
-            rho = random_density_matrix(d, rng, rank=1 if i % 2 else None)
-            c_n = coincidence_index(geam, rho, n)
-            predicted = s * (np.trace(rho @ rho).real - 1.0 / d) + geam.derived.mu(n)
-            purity_resid = max(purity_resid, abs(c_n - predicted))
-        worst_slack = np.inf
-        gap_n = 0.0
-        for _ in range(args.samples):
-            x = random_trace_one_operator(d, rng)
-            for l in range(1, n + 1):
-                slack = coincidence_bound(geam, x, l) - coincidence_index(geam, x, l)
-                worst_slack = min(worst_slack, slack)
-                if l == n:
-                    gap_n = max(gap_n, abs(slack))
-        doc["coincidence"] = {
-            "purity_relation_residual": float(purity_resid),
-            "worst_bound_slack": float(worst_slack),
-            "max_gap_at_full_range": float(gap_n),
-            "passed": bool(purity_resid <= 1e-9 and worst_slack >= -1e-9
-                           and gap_n <= 1e-10),
-        }
-        ok = ok and doc["coincidence"]["passed"]
+    sections = analyze_geam(geam, args.seed, args.samples)
+    doc = {"format": ANALYSIS_FORMAT, "input_fingerprint": fingerprint(read_json(args.geam)),
+           "seed": args.seed, "samples": args.samples, **sections}
     write_json(doc, args.out, timestamp=not args.no_timestamp)
-    print(f"validation {'passed' if report.passed else 'FAILED'}; "
-          f"equidistant={eq.equidistant}; wrote {args.out}")
+    print(f"validation {'passed' if sections['validation']['passed'] else 'FAILED'}; "
+          f"equidistant={sections['equidistance']['equidistant']}; wrote {args.out}")
+    ok = all(sec.get("passed", True) for sec in sections.values())
     return EXIT_OK if ok else EXIT_VALIDATION
 
 
@@ -187,8 +131,6 @@ def cmd_certify(args) -> int:
 
 def cmd_detect(args) -> int:
     witness = load_witness(args.witness)
-    if args.family != "isotropic":
-        raise ValidationError(f"unknown family {args.family!r}")
     records = sweep_isotropic(witness, steps=args.steps)
     write_detection_csv(records, args.out)
     threshold = detection_threshold(witness)
@@ -207,14 +149,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build-geam", help="construct and validate a GEAM")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_int_at_least(1), required=True)
     p.add_argument("--layout", required=True,
                    help="'mub' or comma-separated frame sizes, e.g. '3,3,3,3' or '9'")
     p.add_argument("--gamma", default="uniform",
                    help="'uniform' or comma-separated weights")
     p.add_argument("--b", required=True, help="one value or comma-separated per group")
     p.add_argument("--tau", default="auto", help="'auto' or comma-separated +-1")
-    p.add_argument("--unitary-seed", type=int, default=None,
+    p.add_argument("--unitary-seed", type=_int_at_least(0), default=None,
                    help="conjugate the basis by a seeded Haar unitary")
     p.add_argument("--out", required=True)
     p.add_argument("--no-timestamp", action="store_true")
@@ -222,8 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="equidistance, 2-design, coincidence checks")
     p.add_argument("--geam", required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
+    p.add_argument("--samples", type=_int_at_least(1), default=200)
     p.add_argument("--out", required=True)
     p.add_argument("--no-timestamp", action="store_true")
     p.set_defaults(func=cmd_analyze)
@@ -233,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--kk", type=int, required=True)
-    p.add_argument("--rotation-seed", type=int, required=True)
+    p.add_argument("--rotation-seed", type=_int_at_least(0), required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--no-timestamp", action="store_true")
     p.set_defaults(func=cmd_witness)
@@ -241,11 +183,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="numerically certify k-positivity")
     p.add_argument("--witness", required=True)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=50)
+    p.add_argument("--restarts", type=_int_at_least(1), default=50)
     p.add_argument("--iters", type=int, default=500,
                    help="cap on see-saw rounds of two half-steps per restart")
     p.add_argument("--mehta-samples", type=int, default=500)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--no-timestamp", action="store_true")
     p.set_defaults(func=cmd_certify)

@@ -8,14 +8,13 @@ built from a Hermitian orthonormal basis through the group frame
 operators as P = (a/d) I + tau * H.
 """
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .basis import HermitianBasis, frame_operators
 from .errors import PositivityError, ValidationError
-from .linalg import flip_operator
+from .linalg import flip_operator, random_density_matrix, random_trace_one_operator
 
 PSD_TOL = 1e-10
 TRACE_COND_TOL = 1e-9
@@ -232,15 +231,26 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+def _gram(geam: Geam) -> np.ndarray:
+    """Overlaps Tr(P_k P_l^dag) of all_ops(): Tr(P_k P_l) for Hermitian P."""
+    flat = geam.all_ops().reshape(-1, geam.d ** 2)
+    return (flat @ flat.conj().T).real
+
+
 def validate_geam(geam: Geam, tol: float = TRACE_COND_TOL) -> ValidationReport:
     """Check the defining conditions of a GEAM numerically.
 
     Covers the tight-frame condition per group, the element count, all
-    four trace conditions, and positivity. Failures are reported, not
+    four trace conditions, Hermiticity and positivity. The overlap checks
+    read the Gram matrix, which holds Tr(P P') only for Hermitian P: a
+    failed Hermiticity check voids them. Failures are reported, not
     raised.
     """
     p, der = geam.params, geam.derived
     d = p.d
+    ops = geam.all_ops()
+    group = np.repeat(np.arange(p.n_groups), p.m)
+    a, b, c = (np.asarray(v)[group] for v in (der.a, p.b, der.c))
     checks = []
 
     dev = max(np.abs(grp.sum(axis=0) - g * np.eye(d)).max()
@@ -250,30 +260,22 @@ def validate_geam(geam: Geam, tol: float = TRACE_COND_TOL) -> ValidationReport:
     count_dev = abs(sum(p.m) - (d * d + p.n_groups - 1))
     checks.append(CheckResult("element count = d^2 + N - 1", float(count_dev), 0.5))
 
-    dev = max(abs(np.trace(op).real - der.a[al])
-              for al, grp in enumerate(geam.ops) for op in grp)
+    dev = np.abs(np.trace(ops, axis1=1, axis2=2).real - a).max()
     checks.append(CheckResult("Tr P = a", dev, tol))
 
-    dev = 0.0
-    for al, grp in enumerate(geam.ops):
-        g2 = np.einsum("kij,kji->k", grp, grp).real
-        dev = max(dev, np.abs(g2 - p.b[al] * der.a[al] ** 2).max())
-    checks.append(CheckResult("Tr P^2 = b a^2", dev, tol))
-
-    dev = 0.0
-    for al, grp in enumerate(geam.ops):
-        overlaps = np.einsum("kij,lji->kl", grp, grp).real
-        off = overlaps[~np.eye(len(grp), dtype=bool)]
-        dev = max(dev, np.abs(off - der.c[al] * der.a[al] ** 2).max())
-    checks.append(CheckResult("Tr P P' = c a^2 within a group", dev, tol))
-
-    dev = 0.0
-    for al, be in itertools.combinations(range(p.n_groups), 2):
-        overlaps = np.einsum("kij,lji->kl", geam.ops[al], geam.ops[be]).real
-        target = der.f * der.a[al] * der.a[be]
-        dev = max(dev, np.abs(overlaps - target).max())
+    same = group[:, None] == group[None, :]
+    diag = np.eye(len(group), dtype=bool)
+    target = np.where(same, (c * a ** 2)[:, None], der.f * np.outer(a, a))
+    target[diag] = b * a ** 2
+    dev = np.abs(_gram(geam) - target)
+    checks.append(CheckResult("Tr P^2 = b a^2", dev[diag].max(), tol))
+    checks.append(CheckResult("Tr P P' = c a^2 within a group",
+                              dev[same & ~diag].max(), tol))
     if p.n_groups > 1:
-        checks.append(CheckResult("Tr P P' = f a a' across groups", dev, tol))
+        checks.append(CheckResult("Tr P P' = f a a' across groups", dev[~same].max(), tol))
+
+    dev = np.abs(ops - ops.conj().transpose(0, 2, 1)).max()
+    checks.append(CheckResult("P = P^dag", dev, PSD_TOL))
 
     dev = -min(np.linalg.eigvalsh(grp)[:, 0].min() for grp in geam.ops)
     checks.append(CheckResult("P >= 0 (negated min eigenvalue)", max(dev, 0.0), PSD_TOL))
@@ -298,22 +300,21 @@ class EquidistanceResult:
 
 
 def equidistance(geam: Geam, tol: float = EQUIDISTANT_TOL) -> EquidistanceResult:
-    """Measure all pairwise distances (1/2) Tr[(P - P')^2] of a GEAM."""
+    """Measure all pairwise distances (1/2) Tr[(P - P')^2] = (G_kk + G_ll)/2 - G_kl."""
+    g = _gram(geam)
+    dist = (g.diagonal()[:, None] + g.diagonal()[None, :]) / 2 - g
+    m_sizes = geam.params.m
+    group = np.repeat(np.arange(geam.n_groups), m_sizes)
     per_group = []
-    for grp in geam.ops:
-        dists = [0.5 * np.trace((x - y) @ (x - y)).real
-                 for x, y in itertools.combinations(grp, 2)]
-        if max(dists) - min(dists) > tol:
+    for start, m in zip(np.cumsum((0,) + m_sizes[:-1]), m_sizes):
+        dists = dist[start:start + m, start:start + m][np.triu_indices(m, 1)]
+        if dists.max() - dists.min() > tol:
             raise ValidationError("within-frame distances disagree; not a valid GEAM")
         per_group.append(float(np.mean(dists)))
     cross = None
     if geam.n_groups > 1:
-        vals = []
-        for al, be in itertools.combinations(range(geam.n_groups), 2):
-            for x in geam.ops[al]:
-                for y in geam.ops[be]:
-                    vals.append(0.5 * np.trace((x - y) @ (x - y)).real)
-        cross = (float(min(vals)), float(max(vals)))
+        vals = dist[group[:, None] < group[None, :]]
+        cross = (float(vals.min()), float(vals.max()))
     flag = max(per_group) - min(per_group) <= tol
     return EquidistanceResult(
         s_per_group=tuple(per_group),
@@ -351,9 +352,8 @@ def conical_design_check(geam: Geam) -> DesignCheckResult:
     s = common_s(geam)
     mu_n = geam.derived.mu(geam.n_groups)
     kp, km = mu_n - s / d, s
-    total = np.zeros((d * d, d * d), dtype=complex)
-    for op in geam.all_ops():
-        total += np.kron(op, op)
+    ops = geam.all_ops()
+    total = np.einsum("kij,kab->iajb", ops, ops).reshape(d * d, d * d)
     resid = np.abs(total - kp * np.eye(d * d) - km * flip_operator(d)).max()
     return DesignCheckResult(kappa_plus=float(kp), kappa_minus=float(km),
                              residual=float(resid))
@@ -383,3 +383,48 @@ def coincidence_bound(geam: Geam, x: np.ndarray, l: int) -> float:
     s = common_s(geam)
     hs_norm = np.trace(x.conj().T @ x).real
     return float(s * (hs_norm - 1.0 / geam.d) + geam.derived.mu(l))
+
+
+def analyze_geam(geam: Geam, seed, samples: int) -> dict:
+    """The analysis sections: validation, equidistance and, for an
+    equidistant GEAM, conical_design and coincidence. A section with a
+    "passed" key is a verdict. The coincidence checks draw `samples`
+    density matrices, then `samples` unit-trace operators, from
+    default_rng(seed)."""
+    report = validate_geam(geam)
+    eq = equidistance(geam)
+    doc = {
+        "validation": {
+            "passed": report.passed,
+            "max_deviation": report.max_deviation,
+            "checks": [{**asdict(c), "passed": c.passed} for c in report.checks],
+        },
+        "equidistance": asdict(eq),
+    }
+    if geam.derived.s is None:
+        return doc
+    design = conical_design_check(geam)
+    doc["conical_design"] = {**asdict(design), "passed": design.residual <= 1e-9}
+    rng = np.random.default_rng(seed)
+    d, n = geam.d, geam.n_groups
+    purity_resid = 0.0
+    for i in range(samples):
+        rho = random_density_matrix(d, rng, rank=1 if i % 2 else None)
+        purity_resid = max(purity_resid, abs(coincidence_bound(geam, rho, n)
+                                             - coincidence_index(geam, rho, n)))
+    worst_slack = np.inf
+    gap_n = 0.0
+    for _ in range(samples):
+        x = random_trace_one_operator(d, rng)
+        for l in range(1, n + 1):
+            slack = coincidence_bound(geam, x, l) - coincidence_index(geam, x, l)
+            worst_slack = min(worst_slack, slack)
+            if l == n:
+                gap_n = max(gap_n, abs(slack))
+    doc["coincidence"] = {
+        "purity_relation_residual": float(purity_resid),
+        "worst_bound_slack": float(worst_slack),
+        "max_gap_at_full_range": float(gap_n),
+        "passed": bool(purity_resid <= 1e-9 and worst_slack >= -1e-9 and gap_n <= 1e-10),
+    }
+    return doc

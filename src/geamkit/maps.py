@@ -99,16 +99,6 @@ class Superoperator:
         out = blocks @ self.matrix.T
         return out.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
-    def hermiticity_defect(self) -> float:
-        """Largest anti-Hermitian residue of the images of a Hermitian basis.
-
-        Zero exactly when the map sends Hermitian inputs to Hermitian
-        outputs, which for the matrix representation is the reshuffled
-        Hermiticity of the Choi matrix.
-        """
-        w = choi_matrix(self)
-        return float(np.abs(w - w.conj().T).max())
-
     def __add__(self, other):
         self._same(other)
         return Superoperator(self.matrix + other.matrix, self.d)
@@ -233,12 +223,12 @@ def superop_from_choi(w: np.ndarray, d: int) -> Superoperator:
 
 def choi_witness(phi: Superoperator, meta: dict | None = None) -> Witness:
     """Wrap the Choi matrix of a Hermiticity-preserving map as a witness."""
-    defect = phi.hermiticity_defect()
+    w = choi_matrix(phi)
+    defect = np.abs(w - w.conj().T).max()
     if defect > HERMITICITY_PRESERVING_TOL:
         raise ValidationError(
             f"map is not Hermiticity-preserving (defect {defect:.3e})"
         )
-    w = choi_matrix(phi)
     w = (w + w.conj().T) / 2
     return Witness(w=w, meta=dict(meta or {}))
 

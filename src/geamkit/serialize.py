@@ -9,6 +9,7 @@ hashes of the canonical dump with any volatile fields removed.
 import csv
 import hashlib
 import json
+import operator
 from datetime import datetime, timezone
 
 import numpy as np
@@ -59,8 +60,15 @@ def write_json(doc: dict, path, *, timestamp: bool = True):
 
 
 def read_json(path) -> dict:
+    """Read a JSON object; a file that is not one raises ValidationError."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path} does not hold a JSON object")
+    return doc
 
 
 def geam_document(geam: Geam) -> dict:
@@ -92,23 +100,26 @@ def save_geam(geam: Geam, path, *, timestamp: bool = True) -> str:
 
 def load_geam(path) -> Geam:
     """Read a GEAM document whose operators pass every validate_geam check,
-    so formulas may read geam.derived; else raise naming the failed checks."""
+    so formulas may read geam.derived. Missing or mistyped keys, operators
+    not of shape (d, d) and failed checks raise ValidationError."""
     doc = read_json(path)
     if doc.get("format") != GEAM_FORMAT:
         raise ValidationError(f"not a GEAM document: format {doc.get('format')!r}")
-    params = GeamParams(d=doc["d"], m=doc["m"], gamma=doc["gamma"], b=doc["b"],
-                        tau_sign=doc["tau_sign"])
-    params.validate()
-    flat = [pairs_to_complex(op) for op in doc["operators"]]
-    if len(flat) != sum(params.m):
-        raise ValidationError("operator count does not match the layout")
-    groups = []
-    i = 0
-    for m in params.m:
-        groups.append(np.array(flat[i:i + m]))
-        i += m
+    try:
+        params = GeamParams(d=operator.index(doc["d"]), m=doc["m"], gamma=doc["gamma"],
+                            b=doc["b"], tau_sign=doc["tau_sign"])
+        params.validate()
+        ops = np.array([pairs_to_complex(op) for op in doc["operators"]])
+        basis_meta = dict(doc.get("basis", {}))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed GEAM document: {exc!r}") from None
+    want = (sum(params.m), params.d, params.d)
+    if ops.shape != want:
+        raise ValidationError(f"operators have shape {ops.shape}, want {want} "
+                              "for this layout")
+    groups = np.split(ops, np.cumsum(params.m)[:-1])
     geam = Geam(params=params, derived=derive_params(params), ops=tuple(groups),
-                basis_meta=dict(doc.get("basis", {})))
+                basis_meta=basis_meta)
     failed = [c.name for c in validate_geam(geam).checks if not c.passed]
     if failed:
         raise ValidationError(f"GEAM document fails validation: {'; '.join(failed)}")
@@ -134,7 +145,15 @@ def load_witness(path) -> Witness:
     doc = read_json(path)
     if doc.get("format") != WITNESS_FORMAT:
         raise ValidationError(f"not a witness document: format {doc.get('format')!r}")
-    return Witness(w=pairs_to_complex(doc["matrix"]), meta=dict(doc.get("meta", {})))
+    try:
+        d = operator.index(doc["d"])
+        w = pairs_to_complex(doc["matrix"])
+        meta = dict(doc.get("meta", {}))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed witness document: {exc!r}") from None
+    if w.shape != (d * d, d * d):
+        raise ValidationError(f"witness matrix has shape {w.shape}, want {(d * d, d * d)}")
+    return Witness(w=w, meta=meta)
 
 
 def certification_document(report, *, witness_fingerprint: str | None = None,

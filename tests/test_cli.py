@@ -4,12 +4,26 @@ import sys
 import pytest
 
 import geamkit.geam
-from geamkit import ValidationError, build_witness, load_geam, qubit_mub, rotation_set
+from geamkit import (ValidationError, build_witness, load_geam, qubit_mub, qutrit_mub,
+                     rotation_set, save_geam)
 from geamkit.cli import main
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def exit_code(*argv):
+    """Exit code of a CLI run; argparse rejections arrive as SystemExit."""
+    try:
+        return run(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def assert_one_error_line(err):
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
 
 
 @pytest.fixture()
@@ -18,6 +32,14 @@ def qubit_geam_file(tmp_path):
     code = run("build-geam", "--d", 2, "--layout", "mub", "--b", 1,
                "--out", path, "--no-timestamp")
     assert code == 0
+    return path
+
+
+@pytest.fixture()
+def qubit_witness_file(tmp_path, qubit_geam_file):
+    path = tmp_path / "w2.json"
+    assert run("witness", "--geam", qubit_geam_file, "--k", 1, "--l", 1, "--kk", 3,
+               "--rotation-seed", 5, "--out", path, "--no-timestamp") == 0
     return path
 
 
@@ -179,6 +201,96 @@ def test_loaded_operators_are_validated(tmp_path, qubit_geam_file, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+def test_non_hermitian_operators_are_rejected(tmp_path, capsys):
+    # an anti-Hermitian shift added to one operator and taken from another
+    # keeps every trace condition within 2e-10; only P = P^dag catches it
+    path = tmp_path / "g3.json"
+    save_geam(qutrit_mub(), path)
+    doc = json.loads(path.read_text())
+    eps, skew = 1e-5, {(0, 1): 1.0, (1, 0): -1.0}
+    for (i, j), sign in skew.items():
+        doc["operators"][0][i][j][0] += sign * eps
+        doc["operators"][1][i][j][0] -= sign * eps
+    bad = tmp_path / "skew.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match=r"fails validation: P = P\^dag$"):
+        load_geam(bad)
+    for argv in (("witness", "--geam", bad, "--k", 1, "--l", 1, "--kk", 4,
+                  "--rotation-seed", 0, "--out", tmp_path / "w.json"),
+                 ("analyze", "--geam", bad, "--seed", 0,
+                  "--out", tmp_path / "a.json")):
+        capsys.readouterr()
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "P = P^dag" in err
+
+
+def _truncate(text):
+    return text[:len(text) // 2]
+
+
+def _edit(change):
+    def apply(text):
+        doc = json.loads(text)
+        change(doc)
+        return json.dumps(doc)
+    return apply
+
+
+MALFORMED_FILES = {
+    "geam without b": ("geam", _edit(lambda doc: doc.pop("b"))),
+    "geam operators d x 1": ("geam", _edit(lambda doc: doc.update(
+        operators=[[row[:1] for row in op] for op in doc["operators"]]))),
+    "truncated geam": ("geam", _truncate),
+    "witness without matrix": ("witness", _edit(lambda doc: doc.pop("matrix"))),
+    "witness 1 x 3": ("witness", _edit(lambda doc: doc.update(
+        matrix=[doc["matrix"][0][:3]]))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+def test_malformed_file_exits_2(case, tmp_path, qubit_geam_file, qubit_witness_file,
+                                capsys):
+    kind, corrupt = MALFORMED_FILES[case]
+    good = qubit_geam_file if kind == "geam" else qubit_witness_file
+    bad = tmp_path / "bad.json"
+    bad.write_text(corrupt(good.read_text()))
+    if kind == "geam":
+        argv = ("witness", "--geam", bad, "--k", 1, "--l", 1, "--kk", 3,
+                "--rotation-seed", 0, "--out", tmp_path / "w.json")
+    else:
+        argv = ("detect", "--witness", bad, "--out", tmp_path / "d.csv")
+    capsys.readouterr()
+    assert run(*argv) == 2
+    assert_one_error_line(capsys.readouterr().err)
+
+
+MALFORMED_FLAGS = {
+    "tau not a sign": ("build-geam", "--d", 2, "--layout", "mub", "--b", 1, "--tau", "x"),
+    "negative dimension": ("build-geam", "--d", -1, "--layout", "mub", "--b", 1),
+    "negative unitary seed": ("build-geam", "--d", 2, "--layout", "mub", "--b", 1,
+                              "--unitary-seed", -1),
+    "negative analyze seed": ("analyze", "--geam", "GEAM", "--seed", -1),
+    "zero samples": ("analyze", "--geam", "GEAM", "--seed", 7, "--samples", 0),
+    "negative rotation seed": ("witness", "--geam", "GEAM", "--k", 1, "--l", 1,
+                               "--kk", 3, "--rotation-seed", -1),
+    "negative certify seed": ("certify", "--witness", "WITNESS", "--seed", -1),
+    "zero restarts": ("certify", "--witness", "WITNESS", "--seed", 1, "--restarts", 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FLAGS))
+def test_malformed_flag_exits_2(case, tmp_path, qubit_geam_file, qubit_witness_file,
+                                capsys):
+    files = {"GEAM": qubit_geam_file, "WITNESS": qubit_witness_file}
+    argv = [files.get(a, a) for a in MALFORMED_FLAGS[case]]
+    capsys.readouterr()
+    assert exit_code(*argv, "--out", tmp_path / "out.json") == 2
+    err = capsys.readouterr().err
+    assert "error: " in err.splitlines()[-1] and "Traceback" not in err
 
 
 @pytest.fixture()

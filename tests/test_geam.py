@@ -1,10 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from geamkit import (GeamParams, PositivityError, ValidationError, build_geam,
                      coincidence_bound, coincidence_index, conical_design_check,
-                     equidistance, load_geam, qubit_two_group, save_geam,
-                     validate_geam)
+                     equidistance, load_geam, qubit_mub, qubit_two_group,
+                     qutrit_mub, qutrit_single_frame, save_geam, validate_geam)
 from geamkit.basis import frame_operators, gell_mann_hermitian_basis as make_basis
 from geamkit.geam import Geam
 from geamkit.linalg import random_density_matrix, random_operator, \
@@ -172,6 +174,63 @@ def test_not_equidistant_two_group():
     # matched parameters restore the common distance: S1 = S2 at b1 = 3 b2 - 1
     eq2 = equidistance(qubit_two_group(b1=0.8, b2=0.6))
     assert eq2.equidistant and abs(eq2.s - 0.05) < 1e-12
+
+
+def _conjugated_qutrit():
+    params = GeamParams(d=3, m=(3, 3, 3, 3), gamma=(0.25,) * 4, b=(0.5,) * 4,
+                        tau_sign=(1, 1, 1, 1))
+    return build_geam(make_basis(3, params.m, unitary_seed=5), params, auto_sign=True)
+
+
+GRAM_CASES = {"qubit_mub": qubit_mub, "qutrit_mub": qutrit_mub,
+              "qutrit_single_frame": qutrit_single_frame,
+              "qubit_two_group": qubit_two_group, "qutrit_unitary_seed_5": _conjugated_qutrit}
+
+
+@pytest.mark.parametrize("name", sorted(GRAM_CASES))
+def test_gram_matches_pairwise_reference(name):
+    """Gram-matrix overlaps and distances against the per-pair formulas."""
+    from geamkit.geam import _gram
+
+    geam = GRAM_CASES[name]()
+    p, der = geam.params, geam.derived
+    ops = geam.all_ops()
+    overlaps = np.einsum("kij,lji->kl", ops, ops).real
+    assert_close(_gram(geam), overlaps, 1e-15, "Gram matrix")
+
+    def dist(x, y):
+        return 0.5 * np.trace((x - y) @ (x - y)).real
+
+    per_group = [np.mean([dist(x, y) for x, y in itertools.combinations(grp, 2)])
+                 for grp in geam.ops]
+    cross = [dist(x, y) for al, be in itertools.combinations(range(p.n_groups), 2)
+             for x in geam.ops[al] for y in geam.ops[be]]
+    eq = equidistance(geam)
+    assert_close(eq.s_per_group, per_group, 1e-15, "S per group")
+    assert eq.equidistant == (max(per_group) - min(per_group) <= 1e-9)
+    if eq.equidistant:
+        assert abs(eq.s - np.mean(per_group)) <= 1e-15
+    if cross:
+        assert_close(eq.cross_group_range, [min(cross), max(cross)], 1e-15, "cross")
+    else:
+        assert eq.cross_group_range is None
+
+    squares, within = [], []
+    for al, grp in enumerate(geam.ops):
+        g = np.einsum("kij,lji->kl", grp, grp).real
+        squares.append(np.abs(np.diag(g) - p.b[al] * der.a[al] ** 2).max())
+        off = g[~np.eye(len(grp), dtype=bool)]
+        within.append(np.abs(off - der.c[al] * der.a[al] ** 2).max())
+    want = {"Tr P^2 = b a^2": max(squares), "Tr P P' = c a^2 within a group": max(within)}
+    if p.n_groups > 1:
+        want["Tr P P' = f a a' across groups"] = max(
+            np.abs(np.einsum("kij,lji->kl", geam.ops[al], geam.ops[be]).real
+                   - der.f * der.a[al] * der.a[be]).max()
+            for al, be in itertools.combinations(range(p.n_groups), 2))
+    got = {c.name: c.deviation for c in validate_geam(geam).checks if c.name in want}
+    assert got.keys() == want.keys()
+    for check, value in want.items():
+        assert abs(got[check] - value) <= 1e-15, check
 
 
 # ------------------------------------------------------------ conical design
