@@ -9,7 +9,7 @@ p = 1/3, the known entanglement boundary for d = 2.
 
 import numpy as np
 
-from geamkit import (build_witness, detection_threshold, isotropic_family,
+from geamkit import (IsotropicState, build_witness, detection_threshold,
                      min_schmidt_k, qubit_mub, random_schmidt_mixture,
                      sweep_isotropic, witness_expectation)
 from geamkit.serialize import write_detection_csv
@@ -28,10 +28,9 @@ print(f"detection threshold on the isotropic family: p* = {p_star:.12f}")
 print("(isotropic qubit states are entangled exactly for p > 1/3)")
 print()
 
-fam = isotropic_family(2)
 print("  p      Tr(W rho_p)   detected")
 for p in np.linspace(0, 1, 11):
-    val = witness_expectation(witness, fam(float(p)))
+    val = witness_expectation(witness, IsotropicState(2, float(p)).matrix())
     print(f"  {p:.1f}    {val:+.6f}     {'yes' if val < -1e-10 else 'no'}")
 print()
 

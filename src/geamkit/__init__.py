@@ -7,8 +7,7 @@ from .basis import (FrameOperators, HermitianBasis, conjugate_basis,
 from .certify import (CertificationReport, MehtaReport, SchmidtStateSample,
                       brute_force_oracle, mehta_ratio, min_schmidt_k)
 from .detect import (DetectionRecord, IsotropicState, detection_threshold,
-                     isotropic_family, random_schmidt_mixture, sweep_isotropic,
-                     witness_expectation)
+                     random_schmidt_mixture, sweep_isotropic, witness_expectation)
 from .errors import GeamError, PositivityError, ValidationError
 from .fixtures import (mub_layout, qubit_mub, qubit_two_group, qutrit_mub,
                        qutrit_single_frame)

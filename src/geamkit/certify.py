@@ -17,8 +17,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import haar_unitary, is_hermitian, random_rank_k_coefficients
-from .maps import Superoperator, Witness
+from .linalg import haar_unitary, random_rank_k_coefficients
+from .maps import Superoperator, as_witness
 
 CERTIFY_TOL = 1e-8
 REEVAL_TOL = 1e-10
@@ -93,16 +93,12 @@ class CertificationReport:
         return self.min_value
 
 
-def _witness_matrix(witness) -> np.ndarray:
-    w = witness.w if isinstance(witness, Witness) else np.asarray(witness)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValidationError(f"witness matrix must be square, got shape {w.shape}")
-    d = int(round(np.sqrt(w.shape[0])))
-    if d * d != w.shape[0]:
-        raise ValidationError(f"witness size {w.shape[0]} is not a perfect square")
-    if not is_hermitian(w, tol=1e-10):
-        raise ValidationError("witness matrix is not Hermitian")
-    return w
+def _matrix_and_d(witness, k: int) -> tuple[np.ndarray, int]:
+    """The checked witness matrix and its d, for a rank 1 <= k <= d."""
+    witness = as_witness(witness)
+    if not 1 <= k <= witness.d:
+        raise ValidationError(f"need 1 <= k <= d, got k={k}, d={witness.d}")
+    return witness.w, witness.d
 
 
 def _starts(d: int, k: int, restarts: int, seed: int) -> np.ndarray:
@@ -202,10 +198,7 @@ def min_schmidt_k(witness, k: int, restarts: int = 50, iters: int = 500,
     direct re-evaluation of the quadratic form at the minimizer agrees
     with the tracked value.
     """
-    w = _witness_matrix(witness)
-    d = int(round(np.sqrt(w.shape[0])))
-    if not 1 <= k <= d:
-        raise ValidationError(f"need 1 <= k <= d, got k={k}, d={d}")
+    w, d = _matrix_and_d(witness, k)
 
     if k == d:
         evals, evecs = np.linalg.eigh(w)
@@ -255,10 +248,7 @@ def brute_force_oracle(witness, k: int, samples: int = 100_000,
     Returns the smallest expectation value seen. Intended for d <= 4; used
     in tests to bound the see-saw result from above.
     """
-    w = _witness_matrix(witness)
-    d = int(round(np.sqrt(w.shape[0])))
-    if not 1 <= k <= d:
-        raise ValidationError(f"need 1 <= k <= d, got k={k}, d={d}")
+    w, d = _matrix_and_d(witness, k)
     rng = np.random.default_rng(seed)
     best = np.inf
     batch = 20_000

@@ -184,9 +184,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--restarts", type=_int_at_least(1), default=50)
-    p.add_argument("--iters", type=int, default=500,
+    p.add_argument("--iters", type=_int_at_least(1), default=500,
                    help="cap on see-saw rounds of two half-steps per restart")
-    p.add_argument("--mehta-samples", type=int, default=500)
+    p.add_argument("--mehta-samples", type=_int_at_least(1), default=500)
     p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--no-timestamp", action="store_true")
@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="sweep a witness over a state family")
     p.add_argument("--witness", required=True)
     p.add_argument("--family", default="isotropic", choices=["isotropic"])
-    p.add_argument("--steps", type=int, default=101)
+    p.add_argument("--steps", type=_int_at_least(1), default=101)
     p.add_argument("--seed", type=int, default=None,
                    help="unused: the sweep is deterministic; accepted so that "
                         "existing invocations keep working")

@@ -8,7 +8,7 @@ import numpy as np
 from .errors import ValidationError
 from .linalg import as_rng, is_hermitian, max_entangled_projector, \
     random_rank_k_coefficients
-from .maps import Witness
+from .maps import Witness, as_witness
 
 DETECTION_TOL = 1e-10
 
@@ -26,11 +26,6 @@ class IsotropicState:
                 + (1.0 - self.p) * np.eye(d * d) / (d * d))
 
 
-def isotropic_family(d: int):
-    """The isotropic curve as a map p -> density matrix."""
-    return lambda p: IsotropicState(d, p).matrix()
-
-
 def _check_density(rho: np.ndarray):
     if not is_hermitian(rho, tol=1e-10):
         raise ValidationError("state is not Hermitian")
@@ -42,12 +37,19 @@ def _check_density(rho: np.ndarray):
 
 def witness_expectation(witness, rho: np.ndarray) -> float:
     """Real expectation value Tr(W rho) of a witness on a density matrix."""
-    w = witness.w if isinstance(witness, Witness) else np.asarray(witness)
+    w = as_witness(witness).w
     _check_density(rho)
     val = np.trace(w @ rho)
     if abs(val.imag) > 1e-10:
         raise ValidationError(f"expectation has imaginary part {val.imag:.3e}")
     return float(val.real)
+
+
+def _isotropic_ends(witness) -> tuple[float, float]:
+    """f(0), f(1) of the isotropic curve f(p) = Tr(W rho(p)) = (1 - p) f(0) + p f(1)."""
+    witness = as_witness(witness)
+    return tuple(witness_expectation(witness, IsotropicState(witness.d, p).matrix())
+                 for p in (0.0, 1.0))
 
 
 def detection_threshold(witness) -> float | None:
@@ -57,10 +59,7 @@ def detection_threshold(witness) -> float | None:
     change exists on [0, 1] the root is exact: p* = -f(0)/(f(1) - f(0)).
     Returns None without a sign change.
     """
-    w = witness.w if isinstance(witness, Witness) else np.asarray(witness)
-    family = isotropic_family(int(round(np.sqrt(np.sqrt(w.size)))))
-    f0 = witness_expectation(w, family(0.0))
-    f1 = witness_expectation(w, family(1.0))
+    f0, f1 = _isotropic_ends(witness)
     if f0 * f1 >= 0:
         return None
     return float(-f0 / (f1 - f0))
@@ -94,13 +93,12 @@ class DetectionRecord:
 
 
 def sweep_isotropic(witness: Witness, steps: int = 101) -> list[DetectionRecord]:
-    """Evaluate a witness along the isotropic curve on a uniform grid."""
-    d = witness.d
+    """The isotropic curve on a uniform grid, read off its two end expectations."""
     meta = witness.meta
-    family = isotropic_family(d)
+    f0, f1 = _isotropic_ends(witness)
     records = []
     for p in np.linspace(0.0, 1.0, steps):
-        val = witness_expectation(witness, family(float(p)))
+        val = float((1.0 - p) * f0 + p * f1)
         records.append(DetectionRecord(
             family="isotropic",
             parameter=float(p),

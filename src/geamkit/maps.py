@@ -10,6 +10,7 @@ on the depolarizing part.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,14 +196,32 @@ def phi_k(geam: Geam, rotations, k: int, l: int, kk: int) -> Superoperator:
 
 @dataclass(frozen=True)
 class Witness:
-    """Choi matrix of a map plus its construction metadata."""
+    """Choi matrix of a map plus its construction metadata; the one check of a
+    witness matrix (d^2 x d^2, finite, Hermitian within HERMITICITY_PRESERVING_TOL)."""
 
     w: np.ndarray
     meta: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        w = np.asarray(self.w)
+        object.__setattr__(self, "w", w)
+        n = w.shape[0] if w.ndim == 2 else 0
+        if w.shape != (n, n) or n == 0 or math.isqrt(n) ** 2 != n:
+            raise ValidationError(f"witness matrix must be d^2 x d^2, got shape {w.shape}")
+        if not np.isfinite(w).all():
+            raise ValidationError("witness matrix has non-finite entries")
+        defect = np.abs(w - w.conj().T).max()
+        if defect > HERMITICITY_PRESERVING_TOL:
+            raise ValidationError(f"witness matrix is not Hermitian (defect {defect:.3e})")
+
     @property
     def d(self) -> int:
-        return int(np.sqrt(self.w.shape[0]))
+        return math.isqrt(self.w.shape[0])
+
+
+def as_witness(x) -> Witness:
+    """A Witness unchanged; a bare matrix wrapped, which checks it."""
+    return x if isinstance(x, Witness) else Witness(w=x)
 
 
 def choi_matrix(phi: Superoperator) -> np.ndarray:
@@ -223,14 +242,8 @@ def superop_from_choi(w: np.ndarray, d: int) -> Superoperator:
 
 def choi_witness(phi: Superoperator, meta: dict | None = None) -> Witness:
     """Wrap the Choi matrix of a Hermiticity-preserving map as a witness."""
-    w = choi_matrix(phi)
-    defect = np.abs(w - w.conj().T).max()
-    if defect > HERMITICITY_PRESERVING_TOL:
-        raise ValidationError(
-            f"map is not Hermiticity-preserving (defect {defect:.3e})"
-        )
-    w = (w + w.conj().T) / 2
-    return Witness(w=w, meta=dict(meta or {}))
+    w = Witness(w=choi_matrix(phi)).w
+    return Witness(w=(w + w.conj().T) / 2, meta=dict(meta or {}))
 
 
 def frame_witness(geam: Geam, rotations, k: int, l: int, kk: int) -> np.ndarray:

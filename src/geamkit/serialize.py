@@ -147,13 +147,12 @@ def load_witness(path) -> Witness:
         raise ValidationError(f"not a witness document: format {doc.get('format')!r}")
     try:
         d = operator.index(doc["d"])
-        w = pairs_to_complex(doc["matrix"])
-        meta = dict(doc.get("meta", {}))
+        witness = Witness(w=pairs_to_complex(doc["matrix"]), meta=dict(doc.get("meta", {})))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed witness document: {exc!r}") from None
-    if w.shape != (d * d, d * d):
-        raise ValidationError(f"witness matrix has shape {w.shape}, want {(d * d, d * d)}")
-    return Witness(w=w, meta=meta)
+    if witness.d != d:
+        raise ValidationError(f"witness matrix is for d = {witness.d}, not d = {d}")
+    return witness
 
 
 def certification_document(report, *, witness_fingerprint: str | None = None,

@@ -248,6 +248,10 @@ MALFORMED_FILES = {
     "witness without matrix": ("witness", _edit(lambda doc: doc.pop("matrix"))),
     "witness 1 x 3": ("witness", _edit(lambda doc: doc.update(
         matrix=[doc["matrix"][0][:3]]))),
+    "witness with a NaN entry": ("witness", _edit(
+        lambda doc: doc["matrix"][0][0].__setitem__(0, float("nan")))),
+    "witness not Hermitian": ("witness", _edit(
+        lambda doc: doc["matrix"][0][1].__setitem__(1, doc["matrix"][0][1][1] + 1e-6))),
 }
 
 
@@ -279,6 +283,10 @@ MALFORMED_FLAGS = {
                                "--kk", 3, "--rotation-seed", -1),
     "negative certify seed": ("certify", "--witness", "WITNESS", "--seed", -1),
     "zero restarts": ("certify", "--witness", "WITNESS", "--seed", 1, "--restarts", 0),
+    "zero iters": ("certify", "--witness", "WITNESS", "--seed", 1, "--iters", 0),
+    "zero mehta samples": ("certify", "--witness", "WITNESS", "--seed", 1,
+                           "--mehta-samples", 0),
+    "zero steps": ("detect", "--witness", "WITNESS", "--steps", 0),
 }
 
 

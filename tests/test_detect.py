@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import geamkit.detect
 from geamkit import (IsotropicState, ValidationError, build_witness,
-                     detection_threshold, isotropic_family, max_entangled_projector,
+                     detection_threshold, max_entangled_projector,
                      min_schmidt_k, random_schmidt_mixture, rotation_set,
                      sweep_isotropic, witness_expectation)
 from geamkit.certify import VERDICT_CERTIFIED
+from geamkit.detect import DETECTION_TOL
 from geamkit.maps import Witness
 
 I2 = np.eye(2)
@@ -72,9 +74,9 @@ def test_threshold_qubit_tight_witness(tight_qubit_witness):
     assert p_star is not None
     assert abs(p_star - 1 / 3) < 1e-12
     # grid-scan oracle on 1001 points agrees with the exact root
-    fam = isotropic_family(2)
     grid = np.linspace(0, 1, 1001)
-    vals = np.array([witness_expectation(tight_qubit_witness, fam(p)) for p in grid])
+    vals = np.array([witness_expectation(tight_qubit_witness, IsotropicState(2, p).matrix())
+                     for p in grid])
     crossings = np.where(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
     assert len(crossings) == 1
     lo, hi = grid[crossings[0]], grid[crossings[0] + 1]
@@ -115,3 +117,36 @@ def test_sweep_records(tight_qubit_witness):
     p_star = detection_threshold(tight_qubit_witness)
     for r in records:
         assert r.detected == (r.parameter > p_star)
+
+
+@pytest.fixture()
+def expectation_calls(monkeypatch):
+    """Count witness_expectation calls made inside geamkit.detect."""
+    calls = []
+    original = geamkit.detect.witness_expectation
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(geamkit.detect, "witness_expectation", counted)
+    return calls
+
+
+def test_sweep_reads_the_line_through_its_ends(qubit_geam, qutrit_geam, expectation_calls):
+    """Reference: one expectation per isotropic state on the grid. The sweep
+    must match it while computing only the two end expectations."""
+    for geam in (qubit_geam, qutrit_geam):
+        d, n = geam.d, geam.n_groups
+        for seed in (0, 1):
+            rots = rotation_set(geam, seed)
+            for k, kk in ((k, kk) for k in range(1, d + 1) for kk in range(1, n + 1)):
+                for l in range(1, kk + 1):
+                    w = build_witness(geam, rots, k, l, kk)
+                    expectation_calls.clear()
+                    records = sweep_isotropic(w, steps=101)
+                    assert len(expectation_calls) == 2
+                    for r in records:
+                        ref = witness_expectation(w, IsotropicState(d, r.parameter).matrix())
+                        assert abs(r.expectation - ref) <= 1e-15, (d, seed, k, l, kk, r)
+                        assert r.detected == (ref < -DETECTION_TOL)
