@@ -106,7 +106,6 @@ def cmd_certify(args) -> int:
     k = args.k if args.k is not None else witness.meta.get("k")
     if k is None:
         raise ValidationError("witness metadata has no k; pass --k explicitly")
-    k = int(k)
     report = min_schmidt_k(witness, k, restarts=args.restarts, iters=args.iters,
                            seed=args.seed)
     phi = superop_from_choi(witness.w, witness.d)

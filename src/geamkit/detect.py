@@ -94,7 +94,7 @@ class DetectionRecord:
 
 def sweep_isotropic(witness: Witness, steps: int = 101) -> list[DetectionRecord]:
     """The isotropic curve on a uniform grid, read off its two end expectations."""
-    meta = witness.meta
+    witness = as_witness(witness)
     f0, f1 = _isotropic_ends(witness)
     records = []
     for p in np.linspace(0.0, 1.0, steps):
@@ -102,9 +102,9 @@ def sweep_isotropic(witness: Witness, steps: int = 101) -> list[DetectionRecord]
         records.append(DetectionRecord(
             family="isotropic",
             parameter=float(p),
-            k=int(meta.get("k", 0)),
-            l=int(meta.get("l", 0)),
-            kk=int(meta.get("kk", 0)),
+            k=witness.meta.get("k", 0),
+            l=witness.meta.get("l", 0),
+            kk=witness.meta.get("kk", 0),
             expectation=val,
             detected=bool(val < -DETECTION_TOL),
         ))

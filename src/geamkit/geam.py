@@ -172,23 +172,16 @@ def build_geam(basis: HermitianBasis, params: GeamParams, *,
     frames = frame_operators(basis)
     groups = []
     signs = []
-    for alpha in range(params.n_groups):
-        tau = derived.tau[alpha]
-        ops = _group_ops(derived.a[alpha], params.d, tau, frames.h[alpha])
-        eigs = np.linalg.eigvalsh(ops)
-        worst = int(np.argmin(eigs[:, 0]))
-        if eigs[:, 0].min() < -PSD_TOL:
-            if not auto_sign:
-                raise PositivityError(alpha, worst, float(eigs[worst, 0]))
-            flipped = _group_ops(derived.a[alpha], params.d, -tau, frames.h[alpha])
-            eigs2 = np.linalg.eigvalsh(flipped)
-            if eigs2[:, 0].min() < -PSD_TOL:
-                worst2 = int(np.argmin(eigs2[:, 0]))
-                raise PositivityError(alpha, worst2, float(eigs2[worst2, 0]))
-            ops = flipped
-            signs.append(-params.tau_sign[alpha])
+    for alpha, (a, tau, h) in enumerate(zip(derived.a, derived.tau, frames.h)):
+        for sign in (1, -1) if auto_sign else (1,):
+            ops = _group_ops(a, params.d, sign * tau, h)
+            low = np.linalg.eigvalsh(ops)[:, 0]
+            if not low.min() < -PSD_TOL:
+                break
         else:
-            signs.append(params.tau_sign[alpha])
+            worst = int(np.argmin(low))
+            raise PositivityError(alpha, worst, float(low[worst]))
+        signs.append(sign * params.tau_sign[alpha])
         groups.append(ops)
     final = GeamParams(d=params.d, m=params.m, gamma=params.gamma,
                        b=params.b, tau_sign=tuple(signs))

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import ValidationError
 from .geam import Geam, common_s
@@ -57,7 +56,9 @@ def random_rotation(m: int, seed) -> np.ndarray:
     r = m - 1
     a = rng.standard_normal((r, r))
     a = a - a.T
-    block = expm(a)
+    # iA is Hermitian, so exp(A) = V exp(-i lam) V^dag from one eigensolve
+    lam, v = np.linalg.eigh(1j * a)
+    block = ((v * np.exp(-1j * lam)) @ v.conj().T).real
     if rng.random() < 0.5:
         block = np.diag([-1.0] + [1.0] * (r - 1)) @ block
     core = np.zeros((m, m))
@@ -196,8 +197,8 @@ def phi_k(geam: Geam, rotations, k: int, l: int, kk: int) -> Superoperator:
 
 @dataclass(frozen=True)
 class Witness:
-    """Choi matrix of a map plus its construction metadata; the one check of a
-    witness matrix (d^2 x d^2, finite, Hermitian within HERMITICITY_PRESERVING_TOL)."""
+    """Choi matrix plus construction metadata; the one check of a witness: a finite,
+    Hermitian d^2 x d^2 matrix (HERMITICITY_PRESERVING_TOL) and integer meta k, l, kk."""
 
     w: np.ndarray
     meta: dict = field(default_factory=dict)
@@ -213,6 +214,11 @@ class Witness:
         defect = np.abs(w - w.conj().T).max()
         if defect > HERMITICITY_PRESERVING_TOL:
             raise ValidationError(f"witness matrix is not Hermitian (defect {defect:.3e})")
+        for key in ("k", "l", "kk"):
+            value = self.meta.get(key, 0)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValidationError(f"witness meta {key!r} must be an integer, "
+                                      f"got {value!r}")
 
     @property
     def d(self) -> int:

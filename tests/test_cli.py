@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -252,6 +255,9 @@ MALFORMED_FILES = {
         lambda doc: doc["matrix"][0][0].__setitem__(0, float("nan")))),
     "witness not Hermitian": ("witness", _edit(
         lambda doc: doc["matrix"][0][1].__setitem__(1, doc["matrix"][0][1][1] + 1e-6))),
+    "witness meta k not an int": ("witness", _edit(lambda doc: doc["meta"].update(k="one"))),
+    "witness meta l null": ("witness", _edit(lambda doc: doc["meta"].update(l=None))),
+    "witness meta k a bool": ("witness", _edit(lambda doc: doc["meta"].update(k=True))),
 }
 
 
@@ -263,13 +269,15 @@ def test_malformed_file_exits_2(case, tmp_path, qubit_geam_file, qubit_witness_f
     bad = tmp_path / "bad.json"
     bad.write_text(corrupt(good.read_text()))
     if kind == "geam":
-        argv = ("witness", "--geam", bad, "--k", 1, "--l", 1, "--kk", 3,
-                "--rotation-seed", 0, "--out", tmp_path / "w.json")
+        runs = [("witness", "--geam", bad, "--k", 1, "--l", 1, "--kk", 3,
+                 "--rotation-seed", 0, "--out", tmp_path / "w.json")]
     else:
-        argv = ("detect", "--witness", bad, "--out", tmp_path / "d.csv")
-    capsys.readouterr()
-    assert run(*argv) == 2
-    assert_one_error_line(capsys.readouterr().err)
+        runs = [("detect", "--witness", bad, "--out", tmp_path / "d.csv"),
+                ("certify", "--witness", bad, "--seed", 0, "--out", tmp_path / "c.json")]
+    for argv in runs:
+        capsys.readouterr()
+        assert run(*argv) == 2, argv[0]
+        assert_one_error_line(capsys.readouterr().err)
 
 
 MALFORMED_FLAGS = {
@@ -299,6 +307,15 @@ def test_malformed_flag_exits_2(case, tmp_path, qubit_geam_file, qubit_witness_f
     assert exit_code(*argv, "--out", tmp_path / "out.json") == 2
     err = capsys.readouterr().err
     assert "error: " in err.splitlines()[-1] and "Traceback" not in err
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, geamkit.cli; "
+            "print([n for n in sys.modules if n.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.fixture()

@@ -119,6 +119,11 @@ def test_sweep_records(tight_qubit_witness):
         assert r.detected == (r.parameter > p_star)
 
 
+def test_sweep_accepts_a_bare_matrix(tight_qubit_witness):
+    w = tight_qubit_witness.w
+    assert sweep_isotropic(w, steps=11) == sweep_isotropic(Witness(w=w), steps=11)
+
+
 @pytest.fixture()
 def expectation_calls(monkeypatch):
     """Count witness_expectation calls made inside geamkit.detect."""

@@ -8,7 +8,7 @@ from geamkit import (ValidationError, a_coefficient, build_witness, check_rotati
                      phi_alpha, phi_k, phi_zero, qubit_two_group, random_rotation,
                      rotation_set, superop_from_choi)
 from geamkit.linalg import min_eigenvalue, random_operator
-from geamkit.maps import Superoperator
+from geamkit.maps import Superoperator, _ones_complement
 
 from conftest import assert_close
 
@@ -49,6 +49,26 @@ def test_rotation_seeds_differ_and_repeat():
 def test_rotation_reaches_both_orthogonal_components():
     dets = {round(np.linalg.det(random_rotation(3, s))) for s in range(30)}
     assert dets == {-1, 1}
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_rotation_matches_high_precision_exponential(m):
+    """Same draws as random_rotation (A, then the reflection coin), with exp(A)
+    taken in 30-digit arithmetic: pins the distribution to 1e-13."""
+    import mpmath
+
+    q = _ones_complement(m)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((m - 1, m - 1))
+        a = a - a.T
+        with mpmath.workdps(30):
+            block = np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=float)
+        if rng.random() < 0.5:
+            block[0] = -block[0]
+        core = np.eye(m)
+        core[1:, 1:] = block
+        assert_close(random_rotation(m, seed), q @ core @ q.T, 1e-13, f"m={m} seed={seed}")
 
 
 def test_rotation_set_is_deterministic(qubit_geam):
