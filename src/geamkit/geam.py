@@ -352,30 +352,29 @@ def conical_design_check(geam: Geam) -> DesignCheckResult:
                              residual=float(resid))
 
 
-def coincidence_index(geam: Geam, x: np.ndarray, l: int) -> float:
-    """Partial index of coincidence sum_{alpha<=l} sum_k |Tr(P_{alpha,k} X)|^2."""
+def coincidence_index(geam: Geam, x: np.ndarray, l: int):
+    """Partial index of coincidence sum_{alpha<=l} sum_k |Tr(P_{alpha,k} X)|^2,
+    over the leading axes of x (..., d, d)."""
     if not 1 <= l <= geam.n_groups:
         raise ValidationError(f"l = {l} out of range 1..{geam.n_groups}")
-    total = 0.0
-    for grp in geam.ops[:l]:
-        overlaps = np.einsum("kij,ji->k", grp, x)
-        total += float(np.sum(np.abs(overlaps) ** 2))
-    return total
+    ops = geam.all_ops()[:sum(geam.params.m[:l])]
+    overlaps = np.einsum("kij,...ji->...k", ops, x)
+    return np.sum(np.abs(overlaps) ** 2, axis=-1)
 
 
-def coincidence_bound(geam: Geam, x: np.ndarray, l: int) -> float:
+def coincidence_bound(geam: Geam, x: np.ndarray, l: int):
     """Upper bound S [Tr(X^dag X) - 1/d] + mu_l for the partial coincidence index.
 
     Valid for unit-trace X (the convention under which the bound is an
     equality at l = N); general X obey the same bound with |Tr X|^2
     weights, which reduces to this form at Tr X = 1. S is the analytic
-    geam.derived.s; raises when the GEAM is not equidistant.
+    geam.derived.s; raises when the GEAM is not equidistant. x is as in coincidence_index.
     """
     if not 1 <= l <= geam.n_groups:
         raise ValidationError(f"l = {l} out of range 1..{geam.n_groups}")
     s = common_s(geam)
-    hs_norm = np.trace(x.conj().T @ x).real
-    return float(s * (hs_norm - 1.0 / geam.d) + geam.derived.mu(l))
+    hs_norm = np.sum(np.abs(x) ** 2, axis=(-2, -1))
+    return s * (hs_norm - 1.0 / geam.d) + geam.derived.mu(l)
 
 
 def analyze_geam(geam: Geam, seed, samples: int) -> dict:
@@ -383,7 +382,7 @@ def analyze_geam(geam: Geam, seed, samples: int) -> dict:
     equidistant GEAM, conical_design and coincidence. A section with a
     "passed" key is a verdict. The coincidence checks draw `samples`
     density matrices, then `samples` unit-trace operators, from
-    default_rng(seed)."""
+    default_rng(seed), and evaluate each check over the whole stack."""
     report = validate_geam(geam)
     eq = equidistance(geam)
     doc = {
@@ -400,20 +399,14 @@ def analyze_geam(geam: Geam, seed, samples: int) -> dict:
     doc["conical_design"] = {**asdict(design), "passed": design.residual <= 1e-9}
     rng = np.random.default_rng(seed)
     d, n = geam.d, geam.n_groups
-    purity_resid = 0.0
-    for i in range(samples):
-        rho = random_density_matrix(d, rng, rank=1 if i % 2 else None)
-        purity_resid = max(purity_resid, abs(coincidence_bound(geam, rho, n)
-                                             - coincidence_index(geam, rho, n)))
-    worst_slack = np.inf
-    gap_n = 0.0
-    for _ in range(samples):
-        x = random_trace_one_operator(d, rng)
-        for l in range(1, n + 1):
-            slack = coincidence_bound(geam, x, l) - coincidence_index(geam, x, l)
-            worst_slack = min(worst_slack, slack)
-            if l == n:
-                gap_n = max(gap_n, abs(slack))
+    rho = np.array([random_density_matrix(d, rng, rank=1 if i % 2 else None)
+                    for i in range(samples)]).reshape(samples, d, d)
+    x = np.array([random_trace_one_operator(d, rng) for _ in range(samples)]).reshape(rho.shape)
+    resid = np.abs(coincidence_bound(geam, rho, n) - coincidence_index(geam, rho, n))
+    slack = np.array([coincidence_bound(geam, x, l) - coincidence_index(geam, x, l)
+                      for l in range(1, n + 1)])
+    purity_resid, worst_slack = resid.max(initial=0.0), slack.min(initial=np.inf)
+    gap_n = np.abs(slack[-1]).max(initial=0.0)
     doc["coincidence"] = {
         "purity_relation_residual": float(purity_resid),
         "worst_bound_slack": float(worst_slack),

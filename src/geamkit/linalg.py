@@ -33,13 +33,14 @@ def as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def haar_unitary(d: int, rng) -> np.ndarray:
-    """Haar-random d x d unitary via QR of a Ginibre matrix with phase fix."""
-    rng = as_rng(rng)
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    ph = np.diag(r) / np.abs(np.diag(r))
-    return q * ph
+def haar_unitary(d: int, rng, n: int | None = None) -> np.ndarray:
+    """Haar-random d x d unitary via QR of a Ginibre matrix with phase fix; with a
+    count n, an (n, d, d) stack drawn from the same stream as n single calls."""
+    g = as_rng(rng).standard_normal((1 if n is None else n, 2, d, d))
+    q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2))
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    u = q * (diag / np.abs(diag))[:, None, :]
+    return u[0] if n is None else u
 
 
 def random_operator(d: int, rng) -> np.ndarray:

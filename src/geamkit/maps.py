@@ -95,11 +95,11 @@ class Superoperator:
         return (self.matrix @ vec(x)).reshape(self.d, self.d)
 
     def apply_extended(self, r: np.ndarray) -> np.ndarray:
-        """Apply identity (x) map to an operator on C^d (x) C^d."""
-        d = self.d
-        blocks = r.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+        """Apply identity (x) map to operators on C^d (x) C^d, over any leading axes."""
+        d, lead = self.d, r.shape[:-2]
+        blocks = r.reshape(*lead, d, d, d, d).swapaxes(-3, -2).reshape(*lead, d * d, d * d)
         out = blocks @ self.matrix.T
-        return out.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+        return out.reshape(*lead, d, d, d, d).swapaxes(-3, -2).reshape(r.shape)
 
     def __add__(self, other):
         self._same(other)

@@ -127,6 +127,18 @@ def test_conjugated_basis_keeps_invariants():
     assert np.abs(flat[0] - plain[0]).max() > 1e-3
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_haar_unitary_stack_matches_sequential_calls(d):
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        single = np.array([haar_unitary(d, rng) for _ in range(7)])
+        stack = haar_unitary(d, np.random.default_rng(seed), 7)
+        assert np.array_equal(stack, single), seed
+        # the stream continues where the single calls left it
+        longer = haar_unitary(d, np.random.default_rng(seed), 8)
+        assert np.array_equal(haar_unitary(d, rng), longer[7]), seed
+
+
 def test_conjugate_basis_by_explicit_unitary():
     rng = np.random.default_rng(3)
     u = haar_unitary(4, rng)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,46 @@ def test_mehta_ratio_skips_zero_trace_maps(qubit_geam):
     rep = mehta_ratio(zero, 1, samples=10, seed=0)
     assert rep.max_ratio is None
     assert rep.skipped == 10
+
+
+def _mehta_reference(phi, k, samples, seed):
+    """The per-sample loop mehta_ratio replaced: (max_ratio, skipped)."""
+    d = phi.d
+    rng = np.random.default_rng(seed)
+    max_ratio = None
+    skipped = 0
+    for _ in range(samples):
+        u = haar_unitary(d, rng)
+        v = haar_unitary(d, rng)
+        psi = np.zeros(d * d, dtype=complex)
+        for m in range(k):
+            psi += np.kron(u[:, m], v[:, m])
+        psi /= np.sqrt(k)
+        out = phi.apply_extended(np.outer(psi, psi.conj()))
+        tr = np.trace(out).real
+        if abs(tr) < 1e-12 * (1.0 + np.linalg.norm(out)):
+            skipped += 1
+            continue
+        ratio = float(np.trace(out @ out).real / tr ** 2)
+        if max_ratio is None or ratio > max_ratio:
+            max_ratio = ratio
+    return max_ratio, skipped
+
+
+@pytest.mark.parametrize("fixture", ["qubit_geam", "qutrit_geam"])
+def test_mehta_ratio_matches_per_sample_reference(fixture, request):
+    # 120 samples cross the stack boundaries; 1 sample is a partial stack
+    geam = request.getfixturevalue(fixture)
+    d, n = geam.d, geam.n_groups
+    ranges = [(l, kk) for l in range(1, n + 1) for kk in range(l, n + 1)]
+    for rotation_seed, k, (l, kk) in itertools.product((0, 1), range(1, d + 1), ranges):
+        phi = phi_k(geam, rotation_set(geam, rotation_seed), k, l, kk)
+        for seed, samples in itertools.product((0, 3), (1, 120)):
+            rep = mehta_ratio(phi, k, samples=samples, seed=seed)
+            ref, skipped = _mehta_reference(phi, k, samples, seed)
+            case = (rotation_seed, k, l, kk, seed, samples)
+            assert rep.skipped == skipped, case
+            assert abs(rep.max_ratio - ref) <= 1e-14 * abs(ref), case
 
 
 def test_mehta_rejects_bad_rank(qubit_geam):

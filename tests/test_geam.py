@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from geamkit import (GeamParams, PositivityError, ValidationError, build_geam,
-                     coincidence_bound, coincidence_index, conical_design_check,
+from geamkit import (GeamParams, PositivityError, ValidationError, analyze_geam,
+                     build_geam, coincidence_bound, coincidence_index, conical_design_check,
                      equidistance, load_geam, qubit_mub, qubit_two_group,
                      qutrit_mub, qutrit_single_frame, save_geam, validate_geam)
 from geamkit.basis import frame_operators, gell_mann_hermitian_basis as make_basis
@@ -314,6 +314,59 @@ def test_partial_sum_strict_for_small_l(qubit_geam):
         if gap > 1e-6:
             strict += 1
     assert strict == 100  # generic operators never saturate the partial bound
+
+
+def test_stacked_coincidence_matches_per_item_calls(all_fixture_geams):
+    rng = np.random.default_rng(5)
+    for name, geam in all_fixture_geams.items():
+        xs = np.array([random_trace_one_operator(geam.d, rng) for _ in range(6)])
+        for l in range(1, geam.n_groups + 1):
+            for f in (coincidence_index, coincidence_bound):
+                stacked = f(geam, xs.reshape(2, 3, geam.d, geam.d), l)
+                assert stacked.shape == (2, 3)
+                single = [f(geam, x, l) for x in xs]
+                assert_close(stacked.reshape(-1), single, 1e-15, f"{name} {f.__name__} l={l}")
+
+
+def _coincidence_reference(geam, seed, samples):
+    """The per-sample loops analyze_geam replaced, with the per-group index
+    and the matrix-product norm they called: the three coincidence numbers."""
+    def index(x, l):
+        return sum(float(np.sum(np.abs(np.einsum("kij,ji->k", grp, x)) ** 2))
+                   for grp in geam.ops[:l])
+
+    def bound(x, l):
+        hs_norm = np.trace(x.conj().T @ x).real
+        return float(geam.derived.s * (hs_norm - 1.0 / geam.d) + geam.derived.mu(l))
+
+    rng = np.random.default_rng(seed)
+    d, n = geam.d, geam.n_groups
+    purity_resid = 0.0
+    for i in range(samples):
+        rho = random_density_matrix(d, rng, rank=1 if i % 2 else None)
+        purity_resid = max(purity_resid, abs(bound(rho, n) - index(rho, n)))
+    worst_slack = np.inf
+    gap_n = 0.0
+    for _ in range(samples):
+        x = random_trace_one_operator(d, rng)
+        for l in range(1, n + 1):
+            slack = bound(x, l) - index(x, l)
+            worst_slack = min(worst_slack, slack)
+            if l == n:
+                gap_n = max(gap_n, abs(slack))
+    return purity_resid, worst_slack, gap_n
+
+
+def test_analyze_coincidence_matches_per_sample_reference(all_fixture_geams):
+    p = qutrit_mub().params
+    conjugated = build_geam(make_basis(3, p.m, unitary_seed=3), p)
+    for name, geam in {**all_fixture_geams, "qutrit_mub_conjugated": conjugated}.items():
+        for seed, samples in ((7, 200), (11, 25)):
+            got = analyze_geam(geam, seed, samples)["coincidence"]
+            ref = _coincidence_reference(geam, seed, samples)
+            keys = ("purity_relation_residual", "worst_bound_slack", "max_gap_at_full_range")
+            assert_close([got[key] for key in keys], ref, 1e-13, f"{name} seed={seed}")
+            assert got["passed"] == (ref[0] <= 1e-9 and ref[1] >= -1e-9 and ref[2] <= 1e-10)
 
 
 # --------------------------------------------- frame-expansion brute force

@@ -138,13 +138,13 @@ def test_a_coefficient_qubit_frozen_value(qubit_geam):
     # = l/18, so A = -2 (1/6 - 2/18) + 3 S = 2/9 in high precision
     import mpmath
 
-    mpmath.mp.dps = 40
-    d, k, m, gamma, b = 2, 2, 2, mpmath.mpf(1) / 3, 1
-    a = d * gamma / m
-    c = mpmath.mpf(m - d * b) / (d * (m - 1))
-    s = a ** 2 * (b - c)
-    mu_1, mu_3 = a * gamma / d, 3 * a * gamma / d
-    expected = float(-d * (mu_3 - 2 * mu_1) + (k * d - 1) * s)
+    with mpmath.workdps(40):
+        d, k, m, gamma, b = 2, 2, 2, mpmath.mpf(1) / 3, 1
+        a = d * gamma / m
+        c = mpmath.mpf(m - d * b) / (d * (m - 1))
+        s = a ** 2 * (b - c)
+        mu_1, mu_3 = a * gamma / d, 3 * a * gamma / d
+        expected = float(-d * (mu_3 - 2 * mu_1) + (k * d - 1) * s)
     got = a_coefficient(qubit_geam, 2, 1, 3)
     assert abs(got - expected) < 1e-12
     assert abs(got - 2 / 9) < 1e-12
