@@ -1,9 +1,8 @@
 """geamkit: generalized equiangular measurements, k-positive maps, and
 Schmidt number witnesses, verified numerically at small dimension."""
 
-from .basis import (FrameOperators, HermitianBasis, conjugate_basis,
-                    frame_operators, gell_mann_basis, gell_mann_hermitian_basis,
-                    partition_basis)
+from .basis import (HermitianBasis, conjugate_basis, frame_operators,
+                    gell_mann_basis, gell_mann_hermitian_basis, partition_basis)
 from .certify import (CertificationReport, MehtaReport, SchmidtStateSample,
                       brute_force_oracle, mehta_ratio, min_schmidt_k)
 from .detect import (DetectionRecord, IsotropicState, detection_threshold,

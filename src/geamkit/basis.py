@@ -96,8 +96,7 @@ def _check_flat(flat, d):
         raise ValidationError("basis elements are not orthonormal")
 
 
-def partition_basis(flat: list[np.ndarray], m_sizes, *, meta=None,
-                    check: bool = True) -> HermitianBasis:
+def partition_basis(flat: list[np.ndarray], m_sizes, *, meta=None) -> HermitianBasis:
     """Group a flat traceless basis into N groups of sizes M_alpha - 1.
 
     Requires sum(M_alpha - 1) = d^2 - 1 and every M_alpha >= 2, so the
@@ -116,8 +115,7 @@ def partition_basis(flat: list[np.ndarray], m_sizes, *, meta=None,
             f"partition mismatch: sum(M_alpha - 1) = {have}, basis has "
             f"{len(flat)} elements, traceless sector needs {need}"
         )
-    if check:
-        _check_flat(flat, d)
+    _check_flat(flat, d)
     groups = []
     i = 0
     for m in m_sizes:
@@ -138,28 +136,17 @@ def gell_mann_hermitian_basis(d: int, m_sizes, unitary_seed=None) -> HermitianBa
     meta = {"kind": "gell_mann", "unitary_seed": unitary_seed}
     if unitary_seed is not None:
         flat = conjugate_basis(flat, haar_unitary(d, as_rng(unitary_seed)))
-    return partition_basis(flat, m_sizes, meta=meta, check=False)
+    return partition_basis(flat, m_sizes, meta=meta)
 
 
-@dataclass(frozen=True)
-class FrameOperators:
-    """Per-group frame operators H.
+def frame_operators(basis: HermitianBasis) -> tuple:
+    """Per-group traceless frame operators H, one array per group.
 
-    h[alpha] has shape (M_alpha, d, d); the first M_alpha - 1 entries are
-    G_alpha - sqrt(M)(1 + sqrt(M)) G_{alpha,k} and the last one is
+    Entry alpha has shape (M_alpha, d, d); the first M_alpha - 1 entries
+    are G_alpha - sqrt(M)(1 + sqrt(M)) G_{alpha,k} and the last one is
     (1 + sqrt(M)) G_alpha, with G_alpha the sum of the group's basis
     elements. Each group of frame operators sums to zero.
     """
-
-    h: tuple
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.h)
-
-
-def frame_operators(basis: HermitianBasis) -> FrameOperators:
-    """Build the traceless frame operators of every group."""
     hs = []
     for grp in basis.groups:
         m = grp.shape[0] + 1
@@ -169,4 +156,4 @@ def frame_operators(basis: HermitianBasis) -> FrameOperators:
         h[:m - 1] = g_sum[None, :, :] - scale * grp
         h[m - 1] = (1 + np.sqrt(m)) * g_sum
         hs.append(h)
-    return FrameOperators(h=tuple(hs))
+    return tuple(hs)

@@ -46,8 +46,8 @@ class SchmidtStateSample:
     def schmidt_coefficients(self) -> np.ndarray:
         return np.linalg.svd(self.c, compute_uv=False)
 
-    def schmidt_rank(self, tol: float = 1e-12) -> int:
-        return int(np.sum(self.schmidt_coefficients() > tol))
+    def schmidt_rank(self) -> int:
+        return int(np.sum(self.schmidt_coefficients() > 1e-12))
 
 
 class ConvergenceSummary(NamedTuple):
@@ -186,7 +186,7 @@ def _seesaw(w: np.ndarray, d: int, k: int, c0: np.ndarray, max_half_steps: int):
 
 
 def min_schmidt_k(witness, k: int, restarts: int = 50, iters: int = 500,
-                  seed: int = 0, tol: float = CERTIFY_TOL) -> CertificationReport:
+                  seed: int = 0) -> CertificationReport:
     """Minimize <psi| W |psi> over Schmidt-rank-k pure states.
 
     For k < d a two-sided see-saw (see _seesaw) runs from `restarts`
@@ -194,9 +194,9 @@ def min_schmidt_k(witness, k: int, restarts: int = 50, iters: int = 500,
     restart index); iters caps the see-saw rounds of two half-steps. At
     k = d the minimum is lambda_min(W), taken from one eigh. samples in
     the report is the budget restarts x iters, not the work done.
-    The verdict is violated only when the minimum is below -tol and a
-    direct re-evaluation of the quadratic form at the minimizer agrees
-    with the tracked value.
+    The verdict is violated only when the minimum is below -CERTIFY_TOL
+    and a direct re-evaluation of the quadratic form at the minimizer
+    agrees with the tracked value.
     """
     w, d = _matrix_and_d(witness, k)
 
@@ -217,7 +217,7 @@ def min_schmidt_k(witness, k: int, restarts: int = 50, iters: int = 500,
 
     argmin = SchmidtStateSample(c=best_c)
     recheck = float((argmin.vector.conj() @ w @ argmin.vector).real)
-    if best_value >= -tol:
+    if best_value >= -CERTIFY_TOL:
         verdict = VERDICT_CERTIFIED
     elif abs(recheck - best_value) <= REEVAL_TOL:
         verdict = VERDICT_VIOLATED
@@ -233,7 +233,7 @@ def min_schmidt_k(witness, k: int, restarts: int = 50, iters: int = 500,
         restarts=restarts,
         iters=iters,
         seed=seed,
-        tolerance=tol,
+        tolerance=CERTIFY_TOL,
         # where the rank-k minimum reaches lambda_min(W), rounding can put
         # the eigensolver's value a few ulps above the quadratic form
         lower_bound=min(lower_bound, min_value),

@@ -193,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="sweep a witness over a state family")
     p.add_argument("--witness", required=True)
-    p.add_argument("--family", default="isotropic", choices=["isotropic"])
     p.add_argument("--steps", type=_int_at_least(1), default=101)
     p.add_argument("--seed", type=int, default=None,
                    help="unused: the sweep is deterministic; accepted so that "

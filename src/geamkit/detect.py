@@ -27,7 +27,7 @@ class IsotropicState:
 
 
 def _check_density(rho: np.ndarray):
-    if not is_hermitian(rho, tol=1e-10):
+    if not is_hermitian(rho):
         raise ValidationError("state is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > 1e-10:
         raise ValidationError(f"state trace is {np.trace(rho).real!r}, not 1")
@@ -65,15 +65,13 @@ def detection_threshold(witness) -> float | None:
     return float(-f0 / (f1 - f0))
 
 
-def random_schmidt_mixture(d: int, k: int, rng, n_states: int | None = None) -> np.ndarray:
+def random_schmidt_mixture(d: int, k: int, rng) -> np.ndarray:
     """Random state of Schmidt number <= k, certified by construction.
 
-    A Dirichlet-weighted mixture of random Schmidt-rank-<=k pure states;
-    2d components by default.
+    A Dirichlet-weighted mixture of 2d random Schmidt-rank-<=k pure states.
     """
     rng = as_rng(rng)
-    n = 2 * d if n_states is None else n_states
-    weights = rng.dirichlet(np.ones(n))
+    weights = rng.dirichlet(np.ones(2 * d))
     rho = np.zeros((d * d, d * d), dtype=complex)
     for w_i in weights:
         v = random_rank_k_coefficients(d, k, rng).reshape(-1)

@@ -61,9 +61,9 @@ class GeamParams:
                 f"sum(M_alpha) = {sum(self.m)} but a GEAM needs d^2 + N - 1 "
                 f"= {d * d + n - 1} elements"
             )
-        if any(g <= 0 for g in self.gamma):
+        if not all(g > 0 for g in self.gamma):
             raise ValidationError(f"gamma must be positive, got {self.gamma}")
-        if abs(sum(self.gamma) - 1.0) > 1e-12:
+        if not abs(sum(self.gamma) - 1.0) <= 1e-12:
             raise ValidationError(f"gamma must sum to 1, got sum = {sum(self.gamma)!r}")
         for alpha, (m, b) in enumerate(zip(self.m, self.b)):
             hi = min(d, m) / d
@@ -172,7 +172,7 @@ def build_geam(basis: HermitianBasis, params: GeamParams, *,
     frames = frame_operators(basis)
     groups = []
     signs = []
-    for alpha, (a, tau, h) in enumerate(zip(derived.a, derived.tau, frames.h)):
+    for alpha, (a, tau, h) in enumerate(zip(derived.a, derived.tau, frames)):
         for sign in (1, -1) if auto_sign else (1,):
             ops = _group_ops(a, params.d, sign * tau, h)
             low = np.linalg.eigvalsh(ops)[:, 0]
@@ -230,7 +230,7 @@ def _gram(geam: Geam) -> np.ndarray:
     return (flat @ flat.conj().T).real
 
 
-def validate_geam(geam: Geam, tol: float = TRACE_COND_TOL) -> ValidationReport:
+def validate_geam(geam: Geam) -> ValidationReport:
     """Check the defining conditions of a GEAM numerically.
 
     Covers the tight-frame condition per group, the element count, all
@@ -254,18 +254,19 @@ def validate_geam(geam: Geam, tol: float = TRACE_COND_TOL) -> ValidationReport:
     checks.append(CheckResult("element count = d^2 + N - 1", float(count_dev), 0.5))
 
     dev = np.abs(np.trace(ops, axis1=1, axis2=2).real - a).max()
-    checks.append(CheckResult("Tr P = a", dev, tol))
+    checks.append(CheckResult("Tr P = a", dev, TRACE_COND_TOL))
 
     same = group[:, None] == group[None, :]
     diag = np.eye(len(group), dtype=bool)
     target = np.where(same, (c * a ** 2)[:, None], der.f * np.outer(a, a))
     target[diag] = b * a ** 2
     dev = np.abs(_gram(geam) - target)
-    checks.append(CheckResult("Tr P^2 = b a^2", dev[diag].max(), tol))
+    checks.append(CheckResult("Tr P^2 = b a^2", dev[diag].max(), TRACE_COND_TOL))
     checks.append(CheckResult("Tr P P' = c a^2 within a group",
-                              dev[same & ~diag].max(), tol))
+                              dev[same & ~diag].max(), TRACE_COND_TOL))
     if p.n_groups > 1:
-        checks.append(CheckResult("Tr P P' = f a a' across groups", dev[~same].max(), tol))
+        checks.append(CheckResult("Tr P P' = f a a' across groups",
+                                  dev[~same].max(), TRACE_COND_TOL))
 
     dev = np.abs(ops - ops.conj().transpose(0, 2, 1)).max()
     checks.append(CheckResult("P = P^dag", dev, PSD_TOL))
@@ -292,7 +293,7 @@ class EquidistanceResult:
     cross_group_range: tuple | None
 
 
-def equidistance(geam: Geam, tol: float = EQUIDISTANT_TOL) -> EquidistanceResult:
+def equidistance(geam: Geam) -> EquidistanceResult:
     """Measure all pairwise distances (1/2) Tr[(P - P')^2] = (G_kk + G_ll)/2 - G_kl."""
     g = _gram(geam)
     dist = (g.diagonal()[:, None] + g.diagonal()[None, :]) / 2 - g
@@ -301,14 +302,14 @@ def equidistance(geam: Geam, tol: float = EQUIDISTANT_TOL) -> EquidistanceResult
     per_group = []
     for start, m in zip(np.cumsum((0,) + m_sizes[:-1]), m_sizes):
         dists = dist[start:start + m, start:start + m][np.triu_indices(m, 1)]
-        if dists.max() - dists.min() > tol:
+        if dists.max() - dists.min() > EQUIDISTANT_TOL:
             raise ValidationError("within-frame distances disagree; not a valid GEAM")
         per_group.append(float(np.mean(dists)))
     cross = None
     if geam.n_groups > 1:
         vals = dist[group[:, None] < group[None, :]]
         cross = (float(vals.min()), float(vals.max()))
-    flag = max(per_group) - min(per_group) <= tol
+    flag = max(per_group) - min(per_group) <= EQUIDISTANT_TOL
     return EquidistanceResult(
         s_per_group=tuple(per_group),
         equidistant=flag,

@@ -18,8 +18,8 @@ def vec(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).reshape(-1)
 
 
-def is_hermitian(a: np.ndarray, tol: float = 1e-12) -> bool:
-    return bool(np.abs(a - a.conj().T).max() <= tol)
+def is_hermitian(a: np.ndarray) -> bool:
+    return bool(np.abs(a - a.conj().T).max() <= 1e-10)
 
 
 def min_eigenvalue(a: np.ndarray) -> float:
@@ -54,17 +54,17 @@ def random_hermitian(d: int, rng) -> np.ndarray:
     return (g + dag(g)) / 2
 
 
-def random_trace_one_operator(d: int, rng, min_trace: float = 0.1) -> np.ndarray:
+def random_trace_one_operator(d: int, rng) -> np.ndarray:
     """Ginibre matrix rescaled to unit trace.
 
-    Draws with |Tr| below min_trace are rejected so the rescaling cannot
-    blow up the norm, which keeps round-off in trace identities bounded.
+    Draws with |Tr| below 0.1 are rejected so the rescaling cannot blow
+    up the norm, which keeps round-off in trace identities bounded.
     """
     rng = as_rng(rng)
     while True:
         x = random_operator(d, rng)
         t = np.trace(x)
-        if abs(t) >= min_trace:
+        if abs(t) >= 0.1:
             return x / t
 
 

@@ -67,7 +67,7 @@ def random_rotation(m: int, seed) -> np.ndarray:
     return q @ core @ q.T
 
 
-def check_rotation(o: np.ndarray, tol: float = ROTATION_TOL) -> float:
+def check_rotation(o: np.ndarray) -> float:
     """Max deviation from orthogonality and from fixing the ones vector."""
     m = o.shape[0]
     dev = np.abs(o.T @ o - np.eye(m)).max()
@@ -100,21 +100,6 @@ class Superoperator:
         blocks = r.reshape(*lead, d, d, d, d).swapaxes(-3, -2).reshape(*lead, d * d, d * d)
         out = blocks @ self.matrix.T
         return out.reshape(*lead, d, d, d, d).swapaxes(-3, -2).reshape(r.shape)
-
-    def __add__(self, other):
-        self._same(other)
-        return Superoperator(self.matrix + other.matrix, self.d)
-
-    def __sub__(self, other):
-        self._same(other)
-        return Superoperator(self.matrix - other.matrix, self.d)
-
-    def __rmul__(self, scalar):
-        return Superoperator(scalar * self.matrix, self.d)
-
-    def _same(self, other):
-        if self.d != other.d:
-            raise ValidationError("superoperator dimensions differ")
 
 
 def phi_zero(d: int) -> Superoperator:
@@ -187,18 +172,19 @@ def phi_k(geam: Geam, rotations, k: int, l: int, kk: int) -> Superoperator:
     if len(rotations) < kk:
         raise ValidationError(f"need rotations for groups 1..{kk}, got {len(rotations)}")
     a_k = a_coefficient(geam, k, l, kk)
-    total = a_k * phi_zero(geam.d)
+    total = a_k * phi_zero(geam.d).matrix
     for alpha in range(l, kk):
-        total = total + phi_alpha(geam, alpha, rotations[alpha])
+        total = total + phi_alpha(geam, alpha, rotations[alpha]).matrix
     for alpha in range(l):
-        total = total - phi_alpha(geam, alpha, rotations[alpha])
-    return total
+        total = total - phi_alpha(geam, alpha, rotations[alpha]).matrix
+    return Superoperator(matrix=total, d=geam.d)
 
 
 @dataclass(frozen=True)
 class Witness:
     """Choi matrix plus construction metadata; the one check of a witness: a finite,
-    Hermitian d^2 x d^2 matrix (HERMITICITY_PRESERVING_TOL) and integer meta k, l, kk."""
+    Hermitian d^2 x d^2 matrix (HERMITICITY_PRESERVING_TOL) and integer meta k, l, kk
+    with, where present, 1 <= k <= d and 1 <= l <= kk."""
 
     w: np.ndarray
     meta: dict = field(default_factory=dict)
@@ -214,11 +200,18 @@ class Witness:
         defect = np.abs(w - w.conj().T).max()
         if defect > HERMITICITY_PRESERVING_TOL:
             raise ValidationError(f"witness matrix is not Hermitian (defect {defect:.3e})")
+        meta = self.meta
         for key in ("k", "l", "kk"):
-            value = self.meta.get(key, 0)
+            value = meta.get(key, 0)
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
                 raise ValidationError(f"witness meta {key!r} must be an integer, "
                                       f"got {value!r}")
+        if "k" in meta and not 1 <= meta["k"] <= self.d:
+            raise ValidationError(f"witness meta k = {meta['k']} outside 1..d = {self.d}")
+        chain = [1] + [meta[key] for key in ("l", "kk") if key in meta]
+        if chain != sorted(chain):
+            raise ValidationError(f"witness meta needs 1 <= l <= kk, got "
+                                  f"l = {meta.get('l')}, kk = {meta.get('kk')}")
 
     @property
     def d(self) -> int:
@@ -286,15 +279,6 @@ def build_witness(geam: Geam, rotations, k: int, l: int, kk: int, *,
     1e-10; the returned matrix is the Choi route. Metadata records the
     closed-form depolarizing weight and fingerprints of the ingredients.
     """
-    phi = phi_k(geam, rotations, k, l, kk)
-    w_choi = choi_witness(phi).w
-    w_frames = frame_witness(geam, rotations, k, l, kk)
-    gap = np.abs(w_choi - w_frames).max()
-    if gap > DUAL_ROUTE_TOL:
-        raise ValidationError(
-            f"witness construction routes disagree by {gap:.3e}; "
-            "conjugation convention violated"
-        )
     meta = {
         "k": k,
         "l": l,
@@ -306,4 +290,11 @@ def build_witness(geam: Geam, rotations, k: int, l: int, kk: int, *,
         meta["geam_fingerprint"] = geam_fingerprint
     if rotation_seed is not None:
         meta["rotation_seed"] = rotation_seed
-    return Witness(w=w_choi, meta=meta)
+    witness = choi_witness(phi_k(geam, rotations, k, l, kk), meta)
+    gap = np.abs(witness.w - frame_witness(geam, rotations, k, l, kk)).max()
+    if gap > DUAL_ROUTE_TOL:
+        raise ValidationError(
+            f"witness construction routes disagree by {gap:.3e}; "
+            "conjugation convention violated"
+        )
+    return witness

@@ -123,7 +123,7 @@ def test_c04_frame_identities_and_reconstruction(all_fixture_geams):
     for name, geam in all_fixture_geams.items():
         basis = gell_mann_hermitian_basis(geam.d, geam.params.m)
         frames = frame_operators(basis)
-        for al, h in enumerate(frames.h):
+        for al, h in enumerate(frames):
             m = geam.params.m[al]
             scale = (np.sqrt(m) + 1) ** 2
             overlaps = np.einsum("kij,lji->kl", h, h).real
@@ -133,8 +133,8 @@ def test_c04_frame_identities_and_reconstruction(all_fixture_geams):
                 failures.append(f"{name} group {al}: trace identity dev {dev:.3e}")
             if np.abs(h.sum(axis=0)).max() >= 1e-10:
                 failures.append(f"{name} group {al}: frame does not sum to zero")
-        for al, be in itertools.combinations(range(len(frames.h)), 2):
-            cross = np.einsum("kij,lji->kl", frames.h[al], frames.h[be]).real
+        for al, be in itertools.combinations(range(len(frames)), 2):
+            cross = np.einsum("kij,lji->kl", frames[al], frames[be]).real
             if np.abs(cross).max() >= 1e-9:
                 failures.append(f"{name}: cross-group overlap {al},{be}")
         g0 = np.eye(geam.d, dtype=complex) / np.sqrt(geam.d)

@@ -74,10 +74,10 @@ def test_qubit_frame_operators_match_closed_form():
     frames = frame_operators(basis)
     g1 = SX / np.sqrt(2)
     r2 = np.sqrt(2)
-    assert_close(frames.h[0][0], (1 - r2 * (1 + r2)) * g1, 1e-12, "H_11")
-    assert_close(frames.h[0][1], (1 + r2) * g1, 1e-12, "H_12")
+    assert_close(frames[0][0], (1 - r2 * (1 + r2)) * g1, 1e-12, "H_11")
+    assert_close(frames[0][1], (1 + r2) * g1, 1e-12, "H_12")
     # cross-group frame operators live on disjoint orthonormal supports
-    assert abs(np.trace(frames.h[0][0] @ frames.h[1][0])) < 1e-12
+    assert abs(np.trace(frames[0][0] @ frames[1][0])) < 1e-12
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -85,7 +85,7 @@ def test_frame_trace_identities(d):
     for layout in LAYOUTS[d]:
         basis = partition_basis(gell_mann_basis(d), layout)
         frames = frame_operators(basis)
-        for al, h in enumerate(frames.h):
+        for al, h in enumerate(frames):
             m = layout[al]
             scale = (np.sqrt(m) + 1) ** 2
             overlaps = np.einsum("kij,lji->kl", h, h).real
@@ -95,9 +95,9 @@ def test_frame_trace_identities(d):
             assert np.abs(h.sum(axis=0)).max() < 1e-10
             # last element trace: (M-1)(1+sqrt(M))^2
             assert abs(np.trace(h[-1] @ h[-1]).real - (m - 1) * scale) < 1e-9
-        for al in range(len(frames.h)):
-            for be in range(al + 1, len(frames.h)):
-                cross = np.einsum("kij,lji->kl", frames.h[al], frames.h[be]).real
+        for al in range(len(frames)):
+            for be in range(al + 1, len(frames)):
+                cross = np.einsum("kij,lji->kl", frames[al], frames[be]).real
                 assert np.abs(cross).max() < 1e-9
 
 

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from geamkit import (ValidationError, brute_force_oracle, build_witness,
+from geamkit import (Superoperator, ValidationError, brute_force_oracle, build_witness,
                      flip_operator, haar_unitary, mehta_ratio, min_schmidt_k,
                      phi_k, phi_zero, rotation_set, superop_from_choi)
 from geamkit.certify import (VERDICT_CERTIFIED, VERDICT_VIOLATED,
@@ -185,7 +185,7 @@ def test_mehta_ratio_bounded_by_output_dimension_threshold(qubit_geam, qutrit_ge
 def test_mehta_ratio_skips_zero_trace_maps(qubit_geam):
     rots = [I2, I2, I2]
     phi = phi_k(qubit_geam, rots, 1, 1, 3)
-    zero = phi - phi
+    zero = Superoperator(phi.matrix - phi.matrix, phi.d)
     rep = mehta_ratio(zero, 1, samples=10, seed=0)
     assert rep.max_ratio is None
     assert rep.skipped == 10

@@ -258,6 +258,9 @@ MALFORMED_FILES = {
     "witness meta k not an int": ("witness", _edit(lambda doc: doc["meta"].update(k="one"))),
     "witness meta l null": ("witness", _edit(lambda doc: doc["meta"].update(l=None))),
     "witness meta k a bool": ("witness", _edit(lambda doc: doc["meta"].update(k=True))),
+    "witness meta k 0": ("witness", _edit(lambda doc: doc["meta"].update(k=0))),
+    "witness meta k above d": ("witness", _edit(lambda doc: doc["meta"].update(k=5))),
+    "witness meta L above K": ("witness", _edit(lambda doc: doc["meta"].update(l=3, kk=2))),
 }
 
 
@@ -282,6 +285,7 @@ def test_malformed_file_exits_2(case, tmp_path, qubit_geam_file, qubit_witness_f
 
 MALFORMED_FLAGS = {
     "tau not a sign": ("build-geam", "--d", 2, "--layout", "mub", "--b", 1, "--tau", "x"),
+    "gamma NaN": ("build-geam", "--d", 2, "--layout", "mub", "--b", 1, "--gamma", "nan"),
     "negative dimension": ("build-geam", "--d", -1, "--layout", "mub", "--b", 1),
     "negative unitary seed": ("build-geam", "--d", 2, "--layout", "mub", "--b", 1,
                               "--unitary-seed", -1),
@@ -307,6 +311,7 @@ def test_malformed_flag_exits_2(case, tmp_path, qubit_geam_file, qubit_witness_f
     assert exit_code(*argv, "--out", tmp_path / "out.json") == 2
     err = capsys.readouterr().err
     assert "error: " in err.splitlines()[-1] and "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_cli_import_loads_no_scipy():

@@ -374,7 +374,7 @@ def test_analyze_coincidence_matches_per_sample_reference(all_fixture_geams):
 def _frame_expansion_coefficients(geam, frames, x):
     """Solve X = (Tr X / d) I + sum r_[alpha,k] H_[alpha,k] by least squares."""
     d = geam.d
-    cols = [h.reshape(-1) for grp in frames.h for h in grp]
+    cols = [h.reshape(-1) for grp in frames for h in grp]
     a = np.array(cols).T
     rhs = (x - np.trace(x) / d * np.eye(d)).reshape(-1)
     r, *_ = np.linalg.lstsq(a, rhs, rcond=None)

@@ -3,12 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
+import geamkit.maps
 from geamkit import (ValidationError, a_coefficient, build_witness, check_rotation,
                      choi_matrix, choi_witness, frame_witness, haar_unitary,
                      phi_alpha, phi_k, phi_zero, qubit_two_group, random_rotation,
                      rotation_set, superop_from_choi)
 from geamkit.linalg import min_eigenvalue, random_operator
-from geamkit.maps import Superoperator, _ones_complement
+from geamkit.maps import Superoperator, Witness, _ones_complement
 
 from conftest import assert_close
 
@@ -313,6 +314,31 @@ def test_dual_route_witness_equality(all_fixture_geams):
                 w1 = choi_witness(phi).w
                 w2 = frame_witness(geam, rots, k, l, kk)
                 assert np.abs(w1 - w2).max() < 1e-10, (name, seed, k)
+
+
+def test_build_witness_rejects_disagreeing_routes(qubit_geam, monkeypatch):
+    original = geamkit.maps.frame_witness
+
+    def shifted(*args):
+        w = original(*args)
+        w[0, 0] += 1e-9
+        return w
+
+    monkeypatch.setattr(geamkit.maps, "frame_witness", shifted)
+    with pytest.raises(ValidationError, match="routes disagree"):
+        build_witness(qubit_geam, rotation_set(qubit_geam, 0), 1, 1, 3)
+
+
+@pytest.mark.parametrize("meta", [{"k": 0}, {"k": 3}, {"l": 0}, {"kk": 0},
+                                  {"l": 3, "kk": 2}])
+def test_witness_meta_out_of_range(meta):
+    with pytest.raises(ValidationError, match="witness meta"):
+        Witness(w=np.eye(4), meta=meta)
+
+
+def test_witness_meta_in_range():
+    for meta in ({}, {"k": 1}, {"k": 2, "l": 1}, {"l": 2, "kk": 2}, {"kk": 1}):
+        assert Witness(w=np.eye(4), meta=meta).meta == meta
 
 
 def test_build_witness_metadata(qubit_geam):
