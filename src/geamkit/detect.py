@@ -1,7 +1,9 @@
 """Applying witnesses to states: a negative expectation on a certified
 k-positive witness certifies Schmidt number greater than k."""
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +40,8 @@ def _check_density(rho: np.ndarray):
 def witness_expectation(witness, rho: np.ndarray) -> float:
     """Real expectation value Tr(W rho) of a witness on a density matrix."""
     w = as_witness(witness).w
+    if np.shape(rho) != w.shape:
+        raise ValidationError(f"state shape {np.shape(rho)} does not match witness {w.shape}")
     _check_density(rho)
     val = np.trace(w @ rho)
     if abs(val.imag) > 1e-10:
@@ -45,11 +49,19 @@ def witness_expectation(witness, rho: np.ndarray) -> float:
     return float(val.real)
 
 
+@functools.lru_cache(maxsize=8)
+def _isotropic_end_states(d: int) -> tuple:
+    """rho(0) = I/d^2 and rho(1) = |Phi><Phi|, built once per d, read-only."""
+    ends = tuple(IsotropicState(d, p).matrix() for p in (0.0, 1.0))
+    for rho in ends:
+        rho.setflags(write=False)
+    return ends
+
+
 def _isotropic_ends(witness) -> tuple[float, float]:
     """f(0), f(1) of the isotropic curve f(p) = Tr(W rho(p)) = (1 - p) f(0) + p f(1)."""
     witness = as_witness(witness)
-    return tuple(witness_expectation(witness, IsotropicState(witness.d, p).matrix())
-                 for p in (0.0, 1.0))
+    return tuple(witness_expectation(witness, rho) for rho in _isotropic_end_states(witness.d))
 
 
 def detection_threshold(witness) -> float | None:
@@ -79,8 +91,7 @@ def random_schmidt_mixture(d: int, k: int, rng) -> np.ndarray:
     return rho
 
 
-@dataclass(frozen=True)
-class DetectionRecord:
+class DetectionRecord(NamedTuple):
     family: str
     parameter: float
     k: int
@@ -94,16 +105,7 @@ def sweep_isotropic(witness: Witness, steps: int = 101) -> list[DetectionRecord]
     """The isotropic curve on a uniform grid, read off its two end expectations."""
     witness = as_witness(witness)
     f0, f1 = _isotropic_ends(witness)
-    records = []
-    for p in np.linspace(0.0, 1.0, steps):
-        val = float((1.0 - p) * f0 + p * f1)
-        records.append(DetectionRecord(
-            family="isotropic",
-            parameter=float(p),
-            k=witness.meta.get("k", 0),
-            l=witness.meta.get("l", 0),
-            kk=witness.meta.get("kk", 0),
-            expectation=val,
-            detected=bool(val < -DETECTION_TOL),
-        ))
-    return records
+    grid = np.linspace(0.0, 1.0, steps)
+    k, l, kk = (witness.meta.get(key, 0) for key in ("k", "l", "kk"))
+    return [DetectionRecord("isotropic", p, k, l, kk, val, val < -DETECTION_TOL)
+            for p, val in zip(grid.tolist(), ((1.0 - grid) * f0 + grid * f1).tolist())]

@@ -69,11 +69,8 @@ def random_rotation(m: int, seed) -> np.ndarray:
 
 def check_rotation(o: np.ndarray) -> float:
     """Max deviation from orthogonality and from fixing the ones vector."""
-    m = o.shape[0]
-    dev = np.abs(o.T @ o - np.eye(m)).max()
-    dev = max(dev, np.abs(o.sum(axis=0) - 1).max())
-    dev = max(dev, np.abs(o.sum(axis=1) - 1).max())
-    return float(dev)
+    res = (o.T @ o - np.eye(o.shape[0])).ravel(), o.sum(axis=0) - 1, o.sum(axis=1) - 1
+    return float(np.abs(np.concatenate(res)).max())
 
 
 def rotation_set(geam: Geam, seed) -> tuple:
@@ -125,7 +122,7 @@ def phi_alpha(geam: Geam, alpha: int, o: np.ndarray) -> Superoperator:
     o = np.asarray(o, dtype=float)
     if o.shape != (m, m):
         raise ValidationError(f"rotation shape {o.shape} does not match M = {m}")
-    if check_rotation(o) > ROTATION_TOL:
+    if not check_rotation(o) <= ROTATION_TOL:
         raise ValidationError("rotation is not orthogonal or does not fix (1,..,1)")
     d = geam.d
     outs = grp.reshape(m, -1)
@@ -241,7 +238,9 @@ def superop_from_choi(w: np.ndarray, d: int) -> Superoperator:
 
 def choi_witness(phi: Superoperator, meta: dict | None = None) -> Witness:
     """Wrap the Choi matrix of a Hermiticity-preserving map as a witness."""
-    w = Witness(w=choi_matrix(phi)).w
+    w = choi_matrix(phi)
+    if not np.abs(w - w.conj().T).max() <= HERMITICITY_PRESERVING_TOL:
+        Witness(w=w)  # raises with the witness check's own message
     return Witness(w=(w + w.conj().T) / 2, meta=dict(meta or {}))
 
 
@@ -250,15 +249,23 @@ def frame_witness(geam: Geam, rotations, k: int, l: int, kk: int) -> np.ndarray:
 
     Computes (A/d) I (x) I + sum_{L<alpha<=K} J_alpha - sum_{alpha<=L} J_alpha
     with J_alpha = sum_{k,l} O_kl conj(P_l) (x) P_k. Used as the second,
-    independent route against the Choi construction.
+    independent route against the Choi construction: it contracts the
+    rotation with the output operators P_k first, so it shares no
+    intermediate with phi_alpha.
     """
+    if len(rotations) < kk:
+        raise ValidationError(f"need rotations for groups 1..{kk}, got {len(rotations)}")
     d = geam.d
     a_k = a_coefficient(geam, k, l, kk)
     w = a_k / d * np.eye(d * d, dtype=complex)
     for alpha in range(kk):
         grp = geam.ops[alpha]
-        o = np.asarray(rotations[alpha])
-        j = np.einsum("kl,lab,kcd->acbd", o, grp.conj(), grp).reshape(d * d, d * d)
+        m, o = len(grp), np.asarray(rotations[alpha])
+        if o.shape != (m, m):
+            raise ValidationError(f"rotation shape {o.shape} does not match M = {m}")
+        r = o.T @ grp.reshape(m, -1)
+        j = (grp.conj().reshape(m, -1).T @ r).reshape(d, d, d, d)
+        j = j.transpose(0, 2, 1, 3).reshape(d * d, d * d)
         w = w - j if alpha < l else w + j
     return w
 

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from geamkit import (IsotropicState, ValidationError, build_witness,
 from geamkit.certify import VERDICT_CERTIFIED
 from geamkit.detect import DETECTION_TOL
 from geamkit.maps import Witness
+from geamkit.serialize import write_detection_csv
 
 I2 = np.eye(2)
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -48,6 +51,21 @@ def test_expectation_rejects_non_density(tight_qubit_witness):
     bad[0, 1] = 0.2  # not Hermitian
     with pytest.raises(ValidationError):
         witness_expectation(w, bad)
+
+
+def test_expectation_rejects_mismatched_state_size(tight_qubit_witness):
+    with pytest.raises(ValidationError, match="state shape"):
+        witness_expectation(tight_qubit_witness, np.eye(9) / 9)
+
+
+def test_isotropic_end_states_are_cached_and_read_only():
+    for d in (2, 3, 4):
+        ends = geamkit.detect._isotropic_end_states(d)
+        assert ends is geamkit.detect._isotropic_end_states(d)
+        for p, rho in zip((0.0, 1.0), ends):
+            assert np.array_equal(rho, IsotropicState(d, p).matrix())
+            with pytest.raises(ValueError):
+                rho[0, 0] = 0.5
 
 
 def test_expectation_affine_in_mixing_parameter(tight_qubit_witness):
@@ -155,3 +173,52 @@ def test_sweep_reads_the_line_through_its_ends(qubit_geam, qutrit_geam, expectat
                         ref = witness_expectation(w, IsotropicState(d, r.parameter).matrix())
                         assert abs(r.expectation - ref) <= 1e-15, (d, seed, k, l, kk, r)
                         assert r.detected == (ref < -DETECTION_TOL)
+
+
+@dataclass(frozen=True)
+class _ReferenceRecord:
+    family: str
+    parameter: float
+    k: int
+    l: int
+    kk: int
+    expectation: float
+    detected: bool
+
+
+def _sweep_reference(witness, steps):
+    """One frozen record per grid point, each value from its own scalar arithmetic."""
+    f0, f1 = (witness_expectation(witness, IsotropicState(witness.d, p).matrix())
+              for p in (0.0, 1.0))
+    records = []
+    for p in np.linspace(0.0, 1.0, steps):
+        val = float((1.0 - p) * f0 + p * f1)
+        records.append(_ReferenceRecord(
+            family="isotropic", parameter=float(p), k=witness.meta.get("k", 0),
+            l=witness.meta.get("l", 0), kk=witness.meta.get("kk", 0),
+            expectation=val, detected=bool(val < -DETECTION_TOL)))
+    return records
+
+
+def test_sweep_matches_per_point_reference(qubit_geam, qutrit_geam, tmp_path):
+    for geam in (qubit_geam, qutrit_geam):
+        d, n = geam.d, geam.n_groups
+        for seed in (0, 1):
+            rots = rotation_set(geam, seed)
+            for k, kk in ((k, kk) for k in range(1, d + 1) for kk in range(1, n + 1)):
+                for l in range(1, kk + 1):
+                    w = build_witness(geam, rots, k, l, kk)
+                    for steps in (1, 2, 101):
+                        records = sweep_isotropic(w, steps=steps)
+                        reference = _sweep_reference(w, steps)
+                        assert len(records) == len(reference)
+                        for r, ref in zip(records, reference):
+                            for name in r._fields:
+                                assert getattr(r, name) == getattr(ref, name), (name, r)
+                            assert type(r.detected) is bool
+                            assert type(r.parameter) is float
+                            assert type(r.expectation) is float
+                    write_detection_csv(records, tmp_path / "change.csv")
+                    write_detection_csv(reference, tmp_path / "reference.csv")
+                    assert ((tmp_path / "change.csv").read_bytes()
+                            == (tmp_path / "reference.csv").read_bytes())

@@ -131,6 +131,30 @@ def test_phi_alpha_rejects_bad_rotation(qubit_geam):
         phi_alpha(qubit_geam, 0, np.array([[1.0, 0.1], [0.0, 1.0]]))
 
 
+def test_phi_alpha_rejects_nan_rotation(qubit_geam):
+    with pytest.raises(ValidationError, match="rotation is not orthogonal"):
+        phi_alpha(qubit_geam, 0, np.full((2, 2), np.nan))
+
+
+def _check_rotation_reference(o):
+    """The three separate maxima that check_rotation folds into one."""
+    m = o.shape[0]
+    dev = np.abs(o.T @ o - np.eye(m)).max()
+    dev = max(dev, np.abs(o.sum(axis=0) - 1).max())
+    dev = max(dev, np.abs(o.sum(axis=1) - 1).max())
+    return float(dev)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 9])
+def test_check_rotation_matches_three_maxima(m):
+    rng = np.random.default_rng(m)
+    for seed in range(10):
+        o = random_rotation(m, seed)
+        perturbed = o + rng.normal(scale=10.0 ** -rng.integers(4, 15), size=(m, m))
+        for x in (o, perturbed, rng.standard_normal((m, m))):
+            assert check_rotation(x) == _check_rotation_reference(x), (m, seed)
+
+
 # --------------------------------------------------------- closed-form weight
 
 def test_a_coefficient_qubit_frozen_value(qubit_geam):
@@ -314,6 +338,49 @@ def test_dual_route_witness_equality(all_fixture_geams):
                 w1 = choi_witness(phi).w
                 w2 = frame_witness(geam, rots, k, l, kk)
                 assert np.abs(w1 - w2).max() < 1e-10, (name, seed, k)
+
+
+def _frame_witness_reference(geam, rotations, k, l, kk):
+    """The frame route as one einsum per group."""
+    d = geam.d
+    w = a_coefficient(geam, k, l, kk) / d * np.eye(d * d, dtype=complex)
+    for alpha in range(kk):
+        grp = geam.ops[alpha]
+        j = np.einsum("kl,lab,kcd->acbd", np.asarray(rotations[alpha]), grp.conj(),
+                      grp).reshape(d * d, d * d)
+        w = w - j if alpha < l else w + j
+    return w
+
+
+def test_frame_witness_matches_einsum_reference(qubit_geam, qutrit_geam):
+    for geam in (qubit_geam, qutrit_geam):
+        d, n = geam.d, geam.n_groups
+        for seed in (0, 1):
+            rots = rotation_set(geam, seed)
+            for k in range(1, d + 1):
+                for kk in range(1, n + 1):
+                    for l in range(1, kk + 1):
+                        assert_close(frame_witness(geam, rots, k, l, kk),
+                                     _frame_witness_reference(geam, rots, k, l, kk),
+                                     1e-15, f"d={d} seed={seed} k={k} L={l} K={kk}")
+
+
+def test_frame_witness_rejects_bad_rotations(qubit_geam):
+    with pytest.raises(ValidationError, match="need rotations"):
+        frame_witness(qubit_geam, [I2, SWAP], 1, 1, 3)
+    with pytest.raises(ValidationError, match="rotation shape"):
+        frame_witness(qubit_geam, [I2, np.eye(3), SWAP], 1, 1, 3)
+
+
+def test_choi_witness_guard_reports_the_witness_check():
+    mat = np.zeros((4, 4), dtype=complex)
+    mat[0, 1] = 1.0
+    phi = Superoperator(matrix=mat, d=2)
+    with pytest.raises(ValidationError) as expected:
+        Witness(w=choi_matrix(phi))
+    with pytest.raises(ValidationError) as raised:
+        choi_witness(phi)
+    assert str(raised.value) == str(expected.value)
 
 
 def test_build_witness_rejects_disagreeing_routes(qubit_geam, monkeypatch):
