@@ -21,7 +21,7 @@ from .maps import (Superoperator, Witness, a_coefficient, build_witness,
                    check_rotation, choi_matrix, choi_witness, frame_witness,
                    phi_alpha, phi_k, phi_zero, random_rotation, rotation_set,
                    superop_from_choi)
-from .serialize import (geam_fingerprint, load_geam, load_witness, save_geam,
-                        save_witness, write_detection_csv)
+from .serialize import (load_geam, load_witness, save_geam, save_witness,
+                        write_detection_csv)
 
 __version__ = "0.1.0"

@@ -110,18 +110,7 @@ def cmd_certify(args) -> int:
                            seed=args.seed)
     phi = superop_from_choi(witness.w, witness.d)
     mehta = mehta_ratio(phi, k, samples=args.mehta_samples, seed=args.seed)
-    d = witness.d
-    doc = certification_document(
-        report,
-        witness_fingerprint=in_fp,
-        mehta={
-            "max_ratio": mehta.max_ratio,
-            "samples": mehta.samples,
-            "skipped": mehta.skipped,
-            "threshold_output_dimension": 1.0 / (d - 1),
-            "threshold_extended_dimension": 1.0 / (k * d - 1),
-        },
-    )
+    doc = certification_document(report, mehta, in_fp)
     write_json(doc, args.out, timestamp=not args.no_timestamp)
     print(f"verdict: {report.verdict} (min value {report.min_value:.3e}); "
           f"max purity ratio {mehta.max_ratio}; wrote {args.out}")

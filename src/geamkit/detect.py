@@ -40,8 +40,9 @@ def _check_density(rho: np.ndarray):
 def witness_expectation(witness, rho: np.ndarray) -> float:
     """Real expectation value Tr(W rho) of a witness on a density matrix."""
     w = as_witness(witness).w
-    if np.shape(rho) != w.shape:
-        raise ValidationError(f"state shape {np.shape(rho)} does not match witness {w.shape}")
+    rho = np.asarray(rho)
+    if rho.shape != w.shape:
+        raise ValidationError(f"state shape {rho.shape} does not match witness {w.shape}")
     _check_density(rho)
     val = np.trace(w @ rho)
     if abs(val.imag) > 1e-10:

@@ -8,6 +8,8 @@ position m*d + n.
 
 import numpy as np
 
+from .errors import ValidationError
+
 
 def dag(a: np.ndarray) -> np.ndarray:
     return a.conj().T
@@ -89,7 +91,7 @@ def flip_operator(d: int) -> np.ndarray:
 def max_entangled_projector(d: int, k: int) -> np.ndarray:
     """Projector onto (1/sqrt(k)) sum_{m<k} |mm>, embedded in C^d (x) C^d."""
     if not 1 <= k <= d:
-        raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
+        raise ValidationError(f"need 1 <= k <= d, got k={k}, d={d}")
     psi = np.zeros(d * d, dtype=complex)
     for m in range(k):
         psi[m * d + m] = 1.0

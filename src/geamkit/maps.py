@@ -69,6 +69,8 @@ def random_rotation(m: int, seed) -> np.ndarray:
 
 def check_rotation(o: np.ndarray) -> float:
     """Max deviation from orthogonality and from fixing the ones vector."""
+    if o.ndim != 2 or o.shape[0] != o.shape[1]:
+        raise ValidationError(f"rotation shape {o.shape} is not square")
     res = (o.T @ o - np.eye(o.shape[0])).ravel(), o.sum(axis=0) - 1, o.sum(axis=1) - 1
     return float(np.abs(np.concatenate(res)).max())
 

@@ -87,11 +87,6 @@ def geam_document(geam: Geam) -> dict:
     }
 
 
-def geam_fingerprint(geam_or_doc) -> str:
-    doc = geam_or_doc if isinstance(geam_or_doc, dict) else geam_document(geam_or_doc)
-    return fingerprint(doc)
-
-
 def save_geam(geam: Geam, path, *, timestamp: bool = True) -> str:
     doc = geam_document(geam)
     write_json(doc, path, timestamp=timestamp)
@@ -155,14 +150,18 @@ def load_witness(path) -> Witness:
     return witness
 
 
-def certification_document(report, *, witness_fingerprint: str | None = None,
-                           mehta: dict | None = None) -> dict:
-    doc = {
+def certification_document(report, mehta, witness_fingerprint: str) -> dict:
+    """The certification/2 document of a min_schmidt_k report and the
+    mehta_ratio report at the same k, for the witness file with the given
+    fingerprint. The Mehta thresholds are the purity-ratio bounds for
+    outputs on the d- and kd-dimensional spaces (see MehtaReport)."""
+    d, k = len(report.argmin.c), report.k
+    return {
         "format": CERTIFICATION_FORMAT,
         "verdict": report.verdict,
         "min_value": report.min_value,
         "argmin": complex_to_pairs(report.argmin.c),
-        "k": report.k,
+        "k": k,
         "samples": report.samples,
         "restarts": report.restarts,
         "iters": report.iters,
@@ -174,12 +173,15 @@ def certification_document(report, *, witness_fingerprint: str | None = None,
             "gap": report.upper_bound - report.lower_bound,
         },
         "convergence": report.convergence._asdict(),
+        "witness_fingerprint": witness_fingerprint,
+        "mehta": {
+            "max_ratio": mehta.max_ratio,
+            "samples": mehta.samples,
+            "skipped": mehta.skipped,
+            "threshold_output_dimension": 1.0 / (d - 1),
+            "threshold_extended_dimension": 1.0 / (k * d - 1),
+        },
     }
-    if witness_fingerprint is not None:
-        doc["witness_fingerprint"] = witness_fingerprint
-    if mehta is not None:
-        doc["mehta"] = mehta
-    return doc
 
 
 def write_detection_csv(records, path):

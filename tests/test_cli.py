@@ -178,6 +178,32 @@ def test_certificate_carries_bracket_and_convergence(tmp_path, qubit_geam_file):
             assert 0 < cert["convergence"]["half_steps"] <= 2 * cert["iters"]
 
 
+def test_certificate_key_set_and_mehta_thresholds(tmp_path):
+    gpath, wpath, cpath = tmp_path / "g3.json", tmp_path / "w.json", tmp_path / "c.json"
+    assert run("build-geam", "--d", 3, "--layout", "mub", "--b", 0.5,
+               "--out", gpath, "--no-timestamp") == 0
+    assert run("witness", "--geam", gpath, "--k", 2, "--l", 2, "--kk", 4,
+               "--rotation-seed", 0, "--out", wpath, "--no-timestamp") == 0
+    assert run("certify", "--witness", wpath, "--seed", 1, "--restarts", 5,
+               "--iters", 50, "--mehta-samples", 20, "--out", cpath,
+               "--no-timestamp") == 0
+    cert = json.loads(cpath.read_text())
+    assert set(cert) == {"format", "verdict", "min_value", "argmin", "k", "samples",
+                         "restarts", "iters", "seed", "tolerance", "bracket",
+                         "convergence", "witness_fingerprint", "mehta"}
+    assert cert["format"] == "certification/2"
+    assert set(cert["bracket"]) == {"lower_bound", "upper_bound", "gap"}
+    assert set(cert["convergence"]) == {"method", "half_steps", "restarts_near_best",
+                                        "last_improvement"}
+    assert set(cert["mehta"]) == {"max_ratio", "samples", "skipped",
+                                  "threshold_output_dimension",
+                                  "threshold_extended_dimension"}
+    d, k = 3, 2
+    assert cert["k"] == k
+    assert cert["mehta"]["threshold_output_dimension"] == 1 / (d - 1)
+    assert cert["mehta"]["threshold_extended_dimension"] == 1 / (k * d - 1)
+
+
 def test_io_error_exit_code(tmp_path):
     code = run("analyze", "--geam", tmp_path / "missing.json", "--seed", 0,
                "--out", tmp_path / "x.json")

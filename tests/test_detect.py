@@ -58,6 +58,19 @@ def test_expectation_rejects_mismatched_state_size(tight_qubit_witness):
         witness_expectation(tight_qubit_witness, np.eye(9) / 9)
 
 
+def test_expectation_accepts_nested_list_state(qubit_geam):
+    # json.load gives a state as nested lists
+    w = build_witness(qubit_geam, rotation_set(qubit_geam, 5), 1, 1, 3)
+    rho = np.eye(4) / 4
+    assert witness_expectation(w, rho.tolist()) == witness_expectation(w, rho)
+
+
+def test_max_entangled_projector_rejects_rank_out_of_range():
+    for d, k in ((2, 3), (2, 0), (3, -1)):
+        with pytest.raises(ValidationError, match="need 1 <= k <= d"):
+            max_entangled_projector(d, k)
+
+
 def test_isotropic_end_states_are_cached_and_read_only():
     for d in (2, 3, 4):
         ends = geamkit.detect._isotropic_end_states(d)

@@ -155,6 +155,12 @@ def test_check_rotation_matches_three_maxima(m):
             assert check_rotation(x) == _check_rotation_reference(x), (m, seed)
 
 
+def test_check_rotation_rejects_non_square():
+    for shape in ((2, 3), (3,), (2, 2, 2)):
+        with pytest.raises(ValidationError, match=r"rotation shape .* is not square"):
+            check_rotation(np.ones(shape))
+
+
 # --------------------------------------------------------- closed-form weight
 
 def test_a_coefficient_qubit_frozen_value(qubit_geam):
