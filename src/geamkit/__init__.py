@@ -12,8 +12,7 @@ from .fixtures import (mub_layout, qubit_mub, qubit_two_group, qutrit_mub,
                        qutrit_single_frame)
 from .geam import (DerivedParams, Geam, GeamParams, ValidationReport,
                    analyze_geam, build_geam, coincidence_bound, coincidence_index,
-                   conical_design_check, derive_params, equidistance,
-                   validate_geam)
+                   conical_design_check, equidistance, validate_geam)
 from .linalg import (flip_operator, haar_unitary, max_entangled_projector,
                      random_density_matrix, random_operator,
                      random_rank_k_coefficients, random_trace_one_operator)

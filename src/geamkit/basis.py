@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import as_rng, haar_unitary
+from .linalg import as_int, as_rng, haar_unitary
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -102,7 +102,7 @@ def partition_basis(flat: list[np.ndarray], m_sizes, *, meta=None) -> HermitianB
     Requires sum(M_alpha - 1) = d^2 - 1 and every M_alpha >= 2, so the
     groups exhaust the traceless sector.
     """
-    m_sizes = tuple(int(m) for m in m_sizes)
+    m_sizes = tuple(as_int(m, "group size") for m in m_sizes)
     if not flat:
         raise ValidationError("empty basis")
     d = flat[0].shape[0]

@@ -8,72 +8,18 @@ built from a Hermitian orthonormal basis through the group frame
 operators as P = (a/d) I + tau * H.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .basis import HermitianBasis, frame_operators
 from .errors import PositivityError, ValidationError
-from .linalg import flip_operator, random_density_matrix, random_trace_one_operator
+from .linalg import (as_int, as_real, flip_operator, random_density_matrix,
+                     random_trace_one_operator)
 
 PSD_TOL = 1e-10
 TRACE_COND_TOL = 1e-9
 EQUIDISTANT_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class GeamParams:
-    """Symmetry parameters of a GEAM.
-
-    d: Hilbert space dimension.
-    m: frame sizes M_alpha (each >= 2, sum = d^2 + N - 1).
-    gamma: positive frame weights summing to 1.
-    b: per-group purity parameters, 1/d < b_alpha <= min(d, M_alpha)/d.
-    tau_sign: +1 or -1 per group, selecting the frame-operator sign.
-    """
-
-    d: int
-    m: tuple
-    gamma: tuple
-    b: tuple
-    tau_sign: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "m", tuple(int(x) for x in self.m))
-        object.__setattr__(self, "gamma", tuple(float(x) for x in self.gamma))
-        object.__setattr__(self, "b", tuple(float(x) for x in self.b))
-        object.__setattr__(self, "tau_sign", tuple(int(x) for x in self.tau_sign))
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.m)
-
-    def validate(self):
-        d, n = self.d, self.n_groups
-        if d < 2:
-            raise ValidationError(f"dimension must be >= 2, got {d}")
-        if not (len(self.gamma) == len(self.b) == len(self.tau_sign) == n):
-            raise ValidationError("m, gamma, b, tau_sign must have equal length")
-        if any(m < 2 for m in self.m):
-            raise ValidationError(f"every M_alpha must be >= 2, got {self.m}")
-        if sum(self.m) != d * d + n - 1:
-            raise ValidationError(
-                f"sum(M_alpha) = {sum(self.m)} but a GEAM needs d^2 + N - 1 "
-                f"= {d * d + n - 1} elements"
-            )
-        if not all(g > 0 for g in self.gamma):
-            raise ValidationError(f"gamma must be positive, got {self.gamma}")
-        if not abs(sum(self.gamma) - 1.0) <= 1e-12:
-            raise ValidationError(f"gamma must sum to 1, got sum = {sum(self.gamma)!r}")
-        for alpha, (m, b) in enumerate(zip(self.m, self.b)):
-            hi = min(d, m) / d
-            if not (1.0 / d < b <= hi + 1e-15):
-                raise ValidationError(
-                    f"b[{alpha}] = {b} outside the admissible interval "
-                    f"(1/d, min(d, M)/d] = ({1.0 / d}, {hi}]"
-                )
-        if any(s not in (-1, 1) for s in self.tau_sign):
-            raise ValidationError(f"tau_sign entries must be +-1, got {self.tau_sign}")
 
 
 @dataclass(frozen=True)
@@ -107,21 +53,78 @@ class DerivedParams:
         return sum(self._weights[:l])
 
 
-def derive_params(params: GeamParams) -> DerivedParams:
-    d = params.d
-    a = tuple(d * g / m for g, m in zip(params.gamma, params.m))
-    c = tuple((m - d * b) / (d * (m - 1)) for m, b in zip(params.m, params.b))
-    s = tuple(aa * aa * (bb - cc) for aa, bb, cc in zip(a, params.b, c))
-    if any(x <= 0 for x in s):
-        raise ValidationError(f"S_alpha must be positive, got {s}")
-    tau = tuple(
-        sign * np.sqrt(ss / (m * (np.sqrt(m) + 1) ** 2))
-        for sign, ss, m in zip(params.tau_sign, s, params.m)
-    )
-    common = s[0] if max(s) - min(s) <= 1e-10 else None
-    weights = tuple(aa * g / d for aa, g in zip(a, params.gamma))
-    return DerivedParams(a=a, c=c, f=1.0 / d, s_per_group=s, tau=tau,
-                         s=common, _weights=weights)
+@dataclass(frozen=True)
+class GeamParams:
+    """Symmetry parameters of a GEAM, checked when made.
+
+    d: Hilbert space dimension.
+    m: frame sizes M_alpha (each >= 2, sum = d^2 + N - 1).
+    gamma: positive frame weights summing to 1.
+    b: per-group purity parameters, 1/d < b_alpha <= min(d, M_alpha)/d.
+    tau_sign: +1 or -1 per group, selecting the frame-operator sign.
+    derived: the DerivedParams of these parameters.
+
+    d, m and tau_sign hold integers and gamma and b reals, none a bool; a
+    mistyped or out-of-range set raises ValidationError.
+    """
+
+    d: int
+    m: tuple
+    gamma: tuple
+    b: tuple
+    tau_sign: tuple
+    derived: DerivedParams = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "d", as_int(self.d, "d"))
+        for name, cast in (("m", as_int), ("gamma", as_real), ("b", as_real),
+                           ("tau_sign", as_int)):
+            label = f"{name} entry"
+            object.__setattr__(self, name, tuple(cast(x, label) for x in getattr(self, name)))
+
+        d, n = self.d, self.n_groups
+        if d < 2:
+            raise ValidationError(f"dimension must be >= 2, got {d}")
+        if not (len(self.gamma) == len(self.b) == len(self.tau_sign) == n):
+            raise ValidationError("m, gamma, b, tau_sign must have equal length")
+        if any(m < 2 for m in self.m):
+            raise ValidationError(f"every M_alpha must be >= 2, got {self.m}")
+        if sum(self.m) != d * d + n - 1:
+            raise ValidationError(
+                f"sum(M_alpha) = {sum(self.m)} but a GEAM needs d^2 + N - 1 "
+                f"= {d * d + n - 1} elements"
+            )
+        if not all(g > 0 for g in self.gamma):
+            raise ValidationError(f"gamma must be positive, got {self.gamma}")
+        if not abs(sum(self.gamma) - 1.0) <= 1e-12:
+            raise ValidationError(f"gamma must sum to 1, got sum = {sum(self.gamma)!r}")
+        for alpha, (m, b) in enumerate(zip(self.m, self.b)):
+            hi = min(d, m) / d
+            if not (1.0 / d < b <= hi + 1e-15):
+                raise ValidationError(
+                    f"b[{alpha}] = {b} outside the admissible interval "
+                    f"(1/d, min(d, M)/d] = ({1.0 / d}, {hi}]"
+                )
+        if any(s not in (-1, 1) for s in self.tau_sign):
+            raise ValidationError(f"tau_sign entries must be +-1, got {self.tau_sign}")
+
+        a = tuple(d * g / m for g, m in zip(self.gamma, self.m))
+        c = tuple((m - d * b) / (d * (m - 1)) for m, b in zip(self.m, self.b))
+        s = tuple(aa * aa * (bb - cc) for aa, bb, cc in zip(a, self.b, c))
+        if any(x <= 0 for x in s):
+            raise ValidationError(f"S_alpha must be positive, got {s}")
+        tau = tuple(
+            sign * np.sqrt(ss / (m * (np.sqrt(m) + 1) ** 2))
+            for sign, ss, m in zip(self.tau_sign, s, self.m)
+        )
+        common = s[0] if max(s) - min(s) <= 1e-10 else None
+        weights = tuple(aa * g / d for aa, g in zip(a, self.gamma))
+        object.__setattr__(self, "derived", DerivedParams(
+            a=a, c=c, f=1.0 / d, s_per_group=s, tau=tau, s=common, _weights=weights))
+
+    @property
+    def n_groups(self) -> int:
+        return len(self.m)
 
 
 @dataclass(frozen=True)
@@ -133,9 +136,13 @@ class Geam:
     """
 
     params: GeamParams
-    derived: DerivedParams
     ops: tuple
     basis_meta: dict
+
+    @property
+    def derived(self) -> DerivedParams:
+        """a, c, S, tau and mu_l of params, derived once when params was made."""
+        return self.params.derived
 
     @property
     def d(self) -> int:
@@ -163,12 +170,11 @@ def build_geam(basis: HermitianBasis, params: GeamParams, *,
     in the returned parameters. Construction fails rather than clamps when
     neither sign yields PSD operators.
     """
-    params.validate()
     if basis.m_sizes != params.m:
         raise ValidationError(
             f"basis layout {basis.m_sizes} does not match parameters {params.m}"
         )
-    derived = derive_params(params)
+    derived = params.derived
     frames = frame_operators(basis)
     groups = []
     signs = []
@@ -183,9 +189,7 @@ def build_geam(basis: HermitianBasis, params: GeamParams, *,
             raise PositivityError(alpha, worst, float(low[worst]))
         signs.append(sign * params.tau_sign[alpha])
         groups.append(ops)
-    final = GeamParams(d=params.d, m=params.m, gamma=params.gamma,
-                       b=params.b, tau_sign=tuple(signs))
-    return Geam(params=final, derived=derive_params(final), ops=tuple(groups),
+    return Geam(params=replace(params, tau_sign=tuple(signs)), ops=tuple(groups),
                 basis_meta=dict(basis.meta))
 
 

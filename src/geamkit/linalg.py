@@ -28,6 +28,20 @@ def min_eigenvalue(a: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(a)[0])
 
 
+def as_int(x, name: str) -> int:
+    """x as a Python int; raises ValidationError for a bool or a non-integer."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {x!r}")
+    return int(x)
+
+
+def as_real(x, name: str) -> float:
+    """x as a Python float; raises ValidationError for a bool or a non-number."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+        raise ValidationError(f"{name} must be a real number, got {x!r}")
+    return float(x)
+
+
 def as_rng(seed) -> np.random.Generator:
     """Pass numpy Generators through, build a fresh one from anything else."""
     if isinstance(seed, np.random.Generator):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .geam import Geam, common_s
-from .linalg import as_rng, vec
+from .linalg import as_int, as_rng, vec
 
 HERMITICITY_PRESERVING_TOL = 1e-10
 ROTATION_TOL = 1e-10
@@ -183,7 +183,8 @@ def phi_k(geam: Geam, rotations, k: int, l: int, kk: int) -> Superoperator:
 class Witness:
     """Choi matrix plus construction metadata; the one check of a witness: a finite,
     Hermitian d^2 x d^2 matrix (HERMITICITY_PRESERVING_TOL) and integer meta k, l, kk
-    with, where present, 1 <= k <= d and 1 <= l <= kk."""
+    with, where present, 1 <= k <= d and 1 <= l <= kk. The meta is stored as a copy
+    with k, l and kk as Python ints."""
 
     w: np.ndarray
     meta: dict = field(default_factory=dict)
@@ -199,12 +200,11 @@ class Witness:
         defect = np.abs(w - w.conj().T).max()
         if defect > HERMITICITY_PRESERVING_TOL:
             raise ValidationError(f"witness matrix is not Hermitian (defect {defect:.3e})")
-        meta = self.meta
+        meta = dict(self.meta)
         for key in ("k", "l", "kk"):
-            value = meta.get(key, 0)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ValidationError(f"witness meta {key!r} must be an integer, "
-                                      f"got {value!r}")
+            if key in meta:
+                meta[key] = as_int(meta[key], f"witness meta {key!r}")
+        object.__setattr__(self, "meta", meta)
         if "k" in meta and not 1 <= meta["k"] <= self.d:
             raise ValidationError(f"witness meta k = {meta['k']} outside 1..d = {self.d}")
         chain = [1] + [meta[key] for key in ("l", "kk") if key in meta]
@@ -243,7 +243,7 @@ def choi_witness(phi: Superoperator, meta: dict | None = None) -> Witness:
     w = choi_matrix(phi)
     if not np.abs(w - w.conj().T).max() <= HERMITICITY_PRESERVING_TOL:
         Witness(w=w)  # raises with the witness check's own message
-    return Witness(w=(w + w.conj().T) / 2, meta=dict(meta or {}))
+    return Witness(w=(w + w.conj().T) / 2, meta=meta or {})
 
 
 def frame_witness(geam: Geam, rotations, k: int, l: int, kk: int) -> np.ndarray:
@@ -298,7 +298,8 @@ def build_witness(geam: Geam, rotations, k: int, l: int, kk: int, *,
     if geam_fingerprint is not None:
         meta["geam_fingerprint"] = geam_fingerprint
     if rotation_seed is not None:
-        meta["rotation_seed"] = rotation_seed
+        seed = rotation_seed
+        meta["rotation_seed"] = int(seed) if isinstance(seed, np.integer) else seed
     witness = choi_witness(phi_k(geam, rotations, k, l, kk), meta)
     gap = np.abs(witness.w - frame_witness(geam, rotations, k, l, kk)).max()
     if gap > DUAL_ROUTE_TOL:

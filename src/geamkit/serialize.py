@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .errors import ValidationError
-from .geam import Geam, GeamParams, derive_params, validate_geam
+from .geam import Geam, GeamParams, validate_geam
 from .maps import Witness
 
 GEAM_FORMAT = "geam/1"
@@ -54,9 +54,10 @@ def write_json(doc: dict, path, *, timestamp: bool = True):
     doc = dict(doc)
     if timestamp:
         doc["created"] = _timestamp()
+    # encoded before the file is opened, so a failed encode leaves no file
+    text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(text)
 
 
 def read_json(path) -> dict:
@@ -101,9 +102,8 @@ def load_geam(path) -> Geam:
     if doc.get("format") != GEAM_FORMAT:
         raise ValidationError(f"not a GEAM document: format {doc.get('format')!r}")
     try:
-        params = GeamParams(d=operator.index(doc["d"]), m=doc["m"], gamma=doc["gamma"],
-                            b=doc["b"], tau_sign=doc["tau_sign"])
-        params.validate()
+        params = GeamParams(d=doc["d"], m=doc["m"], gamma=doc["gamma"], b=doc["b"],
+                            tau_sign=doc["tau_sign"])
         ops = np.array([pairs_to_complex(op) for op in doc["operators"]])
         basis_meta = dict(doc.get("basis", {}))
     except (KeyError, TypeError, ValueError) as exc:
@@ -113,8 +113,7 @@ def load_geam(path) -> Geam:
         raise ValidationError(f"operators have shape {ops.shape}, want {want} "
                               "for this layout")
     groups = np.split(ops, np.cumsum(params.m)[:-1])
-    geam = Geam(params=params, derived=derive_params(params), ops=tuple(groups),
-                basis_meta=basis_meta)
+    geam = Geam(params=params, ops=tuple(groups), basis_meta=basis_meta)
     failed = [c.name for c in validate_geam(geam).checks if not c.passed]
     if failed:
         raise ValidationError(f"GEAM document fails validation: {'; '.join(failed)}")

@@ -66,6 +66,8 @@ def test_partition_errors():
     with pytest.raises(ValidationError):
         partition_basis(flat, [1, 2, 2])       # M >= 2 required
     with pytest.raises(ValidationError):
+        partition_basis(flat, [2, 2, 2.5])     # sizes are integers
+    with pytest.raises(ValidationError):
         partition_basis([flat[0], flat[0], flat[2]], [2, 2, 2])  # not orthonormal
 
 

@@ -274,6 +274,15 @@ MALFORMED_FILES = {
     "geam operators d x 1": ("geam", _edit(lambda doc: doc.update(
         operators=[[row[:1] for row in op] for op in doc["operators"]]))),
     "truncated geam": ("geam", _truncate),
+    "geam m with a float": ("geam", _edit(lambda doc: doc["m"].__setitem__(2, 2.5))),
+    "geam m as strings": ("geam", _edit(lambda doc: doc.update(m=["2", "2", "2"]))),
+    "geam tau_sign with a float": ("geam", _edit(
+        lambda doc: doc["tau_sign"].__setitem__(2, 1.7))),
+    "geam tau_sign with a bool": ("geam", _edit(
+        lambda doc: doc["tau_sign"].__setitem__(0, True))),
+    "geam b as bools": ("geam", _edit(lambda doc: doc.update(b=[True] * 3))),
+    "geam gamma as strings": ("geam", _edit(
+        lambda doc: doc.update(gamma=[str(g) for g in doc["gamma"]]))),
     "witness without matrix": ("witness", _edit(lambda doc: doc.pop("matrix"))),
     "witness 1 x 3": ("witness", _edit(lambda doc: doc.update(
         matrix=[doc["matrix"][0][:3]]))),
@@ -307,6 +316,7 @@ def test_malformed_file_exits_2(case, tmp_path, qubit_geam_file, qubit_witness_f
         capsys.readouterr()
         assert run(*argv) == 2, argv[0]
         assert_one_error_line(capsys.readouterr().err)
+        assert not argv[-1].exists(), argv[0]
 
 
 MALFORMED_FLAGS = {

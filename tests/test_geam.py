@@ -24,21 +24,27 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 def test_parameter_validation_errors():
     good = dict(d=2, m=(2, 2, 2), gamma=(1 / 3,) * 3, b=(1.0,) * 3,
                 tau_sign=(1, 1, 1))
-    GeamParams(**good).validate()
+    GeamParams(**good)
 
     with pytest.raises(ValidationError):  # gamma does not sum to 1
-        GeamParams(**{**good, "gamma": (0.5, 0.3, 0.3)}).validate()
+        GeamParams(**{**good, "gamma": (0.5, 0.3, 0.3)})
     with pytest.raises(ValidationError):  # element count off
-        GeamParams(**{**good, "m": (2, 2, 3)}).validate()
+        GeamParams(**{**good, "m": (2, 2, 3)})
     with pytest.raises(ValidationError):  # b at the open lower endpoint
-        GeamParams(**{**good, "b": (0.5, 1.0, 1.0)}).validate()
+        GeamParams(**{**good, "b": (0.5, 1.0, 1.0)})
     with pytest.raises(ValidationError):  # b above min(d, M)/d
-        GeamParams(**{**good, "b": (1.2, 1.0, 1.0)}).validate()
+        GeamParams(**{**good, "b": (1.2, 1.0, 1.0)})
     with pytest.raises(ValidationError):  # degenerate group
         GeamParams(d=2, m=(1, 2, 2, 2), gamma=(0.25,) * 4, b=(1.0,) * 4,
-                   tau_sign=(1,) * 4).validate()
+                   tau_sign=(1,) * 4)
     with pytest.raises(ValidationError):  # bad sign
-        GeamParams(**{**good, "tau_sign": (1, 0, 1)}).validate()
+        GeamParams(**{**good, "tau_sign": (1, 0, 1)})
+    with pytest.raises(ValidationError):  # a bool is not a sign
+        GeamParams(**{**good, "tau_sign": (True, 1, 1)})
+    with pytest.raises(ValidationError):  # a float is not a frame size
+        GeamParams(**{**good, "m": (2, 2, 2.5)})
+    with pytest.raises(ValidationError):  # a string is not a purity parameter
+        GeamParams(**{**good, "b": ("1.0", 1.0, 1.0)})
 
 
 def test_derived_parameters_qubit(qubit_geam):
@@ -132,8 +138,8 @@ def test_validation_report_fixtures(all_fixture_geams):
 def test_validation_flags_corruption(qubit_geam):
     ops = [grp.copy() for grp in qubit_geam.ops]
     ops[0][0] = np.eye(2) / 2  # wrong purity, right trace
-    corrupted = Geam(params=qubit_geam.params, derived=qubit_geam.derived,
-                     ops=tuple(ops), basis_meta=qubit_geam.basis_meta)
+    corrupted = Geam(params=qubit_geam.params, ops=tuple(ops),
+                     basis_meta=qubit_geam.basis_meta)
     report = validate_geam(corrupted)
     assert not report.passed
     failing = {c.name for c in report.checks if not c.passed}

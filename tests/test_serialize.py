@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from geamkit import (ValidationError, build_witness, load_geam, load_witness,
-                     rotation_set, save_geam, save_witness)
+from geamkit import (GeamParams, ValidationError, build_geam, build_witness,
+                     gell_mann_hermitian_basis, load_geam, load_witness, rotation_set,
+                     save_geam, save_witness)
 from geamkit.detect import DetectionRecord
 from geamkit.serialize import (canonical_dumps, complex_to_pairs, fingerprint,
                                geam_document, pairs_to_complex, read_json,
@@ -37,6 +38,27 @@ def test_witness_document_round_trip(tmp_path, qubit_geam):
     loaded = load_witness(path)
     assert np.array_equal(loaded.w, w.w)
     assert loaded.meta == w.meta
+
+
+def test_numpy_integers_save_like_python_ints(tmp_path):
+    saved = []
+    for ints in (int, np.int64):
+        params = GeamParams(d=ints(2), m=(ints(2),) * 3, gamma=(1 / 3,) * 3,
+                            b=(1.0,) * 3, tau_sign=(ints(1),) * 3)
+        geam = build_geam(gell_mann_hermitian_basis(2, params.m), params)
+        w = build_witness(geam, rotation_set(geam, 0), ints(1), ints(1), ints(3),
+                          rotation_seed=ints(0))
+        save_geam(geam, tmp_path / "g.json", timestamp=False)
+        save_witness(w, tmp_path / "w.json", timestamp=False)
+        saved.append([(tmp_path / name).read_bytes() for name in ("g.json", "w.json")])
+    assert saved[0] == saved[1]
+
+
+def test_unencodable_document_leaves_no_file(tmp_path):
+    path = tmp_path / "x.json"
+    with pytest.raises(TypeError):
+        write_json({"format": "nonsense/9", "value": object()}, path)
+    assert not path.exists()
 
 
 def test_load_rejects_wrong_format(tmp_path):
