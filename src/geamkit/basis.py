@@ -103,7 +103,7 @@ def partition_basis(flat: list[np.ndarray], m_sizes, *, meta=None) -> HermitianB
     groups exhaust the traceless sector.
     """
     m_sizes = tuple(as_int(m, "group size") for m in m_sizes)
-    if not flat:
+    if len(flat) == 0:
         raise ValidationError("empty basis")
     d = flat[0].shape[0]
     if any(m < 2 for m in m_sizes):

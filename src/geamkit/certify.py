@@ -4,11 +4,12 @@ A map is k-positive exactly when its Choi matrix has a nonnegative
 expectation value on every pure state of Schmidt rank at most k. Below
 k = d the minimizer is a two-sided see-saw: with a k-dimensional support
 fixed on one side, the best state is the lowest eigenvector of a (kd) x
-(kd) compression of the witness, and the supports alternate between the
-two sides until the value stops falling. At k = d the minimum is the
-lowest eigenvalue. Restarts are independent and the verdict is
-intentionally labelled "numerically certified", never proved; the report
-brackets the true minimum between lambda_min(W) and the value found.
+(kd) compression of the witness; the supports alternate between the two
+sides until the value stops falling, and a restart that contracts
+geometrically also tries its Aitken-extrapolated support, kept if lower.
+At k = d the minimum is the lowest eigenvalue. Restarts are independent
+and the verdict is labelled "numerically certified", never proved; the
+report brackets the true minimum between lambda_min(W) and the value found.
 """
 
 from dataclasses import dataclass
@@ -17,13 +18,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import haar_unitary, random_rank_k_coefficients
+from .linalg import haar_unitary
 from .maps import Superoperator, as_witness
 
 CERTIFY_TOL = 1e-8
 REEVAL_TOL = 1e-10
 # see-saw stopping rule: a restart (and the whole run, for the best value)
-# stops after STALL_STEPS half-steps in a row that each gain <= STALL_TOL
+# stops after STALL_STEPS rounds in a row that each gain <= STALL_TOL
 STALL_TOL = 1e-13
 STALL_STEPS = 3
 NEAR_BEST_TOL = 1e-9
@@ -56,7 +57,7 @@ class ConvergenceSummary(NamedTuple):
     method is "see-saw" for k < d and "eigh" for the exact k = d path,
     which runs no half-steps. restarts_near_best counts the restarts that
     ended within NEAR_BEST_TOL of the best value, and last_improvement is
-    how much the best value fell on the final half-step.
+    how much the best value fell in the final see-saw round.
     """
 
     method: str
@@ -102,12 +103,11 @@ def _matrix_and_d(witness, k: int) -> tuple[np.ndarray, int]:
 
 
 def _starts(d: int, k: int, restarts: int, seed: int) -> np.ndarray:
-    """Rank-k starting coefficient matrices, one PRNG stream per restart."""
-    init = np.empty((restarts, d, d), dtype=complex)
-    for r in range(restarts):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
-        init[r] = random_rank_k_coefficients(d, k, rng)
-    return init
+    """Rank-k starting coefficient matrices, one SeedSequence(seed) child stream per restart."""
+    g = np.array([np.random.default_rng(s).standard_normal(4 * d * k)
+                  for s in np.random.SeedSequence(seed).spawn(restarts)]).reshape(restarts, 4, -1)
+    c = (g[:, 0] + 1j * g[:, 1]).reshape(-1, d, k) @ (g[:, 2] + 1j * g[:, 3]).reshape(-1, k, d)
+    return np.array([x / np.linalg.norm(x) for x in c])
 
 
 def _lift(basis: np.ndarray, d: int, side: int) -> np.ndarray:
@@ -127,6 +127,31 @@ def _lift(basis: np.ndarray, d: int, side: int) -> np.ndarray:
     return iso.reshape(a, d * d, k * d)
 
 
+def _extrapolate(trail, active: np.ndarray, d: int, k: int, side: int):
+    """Aitken steps for the active restarts whose see-saw contracts geometrically.
+
+    trail holds (values, states) after the last seven rounds: entries 2, 4, 6 are
+    psi_{t-4}, psi_{t-2}, psi_t from one side. A restart fires when its last two
+    2-half-step gain ratios agree within 2 % and, phases aligned, q = |psi_t -
+    psi_{t-2}| / |psi_{t-2} - psi_{t-4}| lies in (0.2, 0.999). Returns the firing
+    positions in `active` and the rank-k supports, on `side` as _lift takes them,
+    of psi_t + q/(1 - q) (psi_t - psi_{t-2}).
+    """
+    gains = -np.diff([trail[i][0][active] for i in (0, 2, 4, 6)], axis=0)
+    g = np.where(gains > 0, gains, np.nan)
+    r = g[1:] / g[:-1]
+    fire = np.flatnonzero(np.abs(r[1] - r[0]) <= 0.02 * r[0])
+    psi = [trail[i][1][active[fire]] for i in (6, 4, 2)]
+    for i in (1, 2):
+        psi[i] *= np.exp(1j * np.angle((psi[i].conj() * psi[i - 1]).sum(axis=1)))[:, None]
+    step = psi[0] - psi[1]
+    q = np.linalg.norm(step, axis=1) / np.maximum(np.linalg.norm(psi[1] - psi[2], axis=1), 1e-300)
+    ok = (q > 0.2) & (q < 0.999)
+    psi_e = psi[0][ok] + (q[ok] / (1 - q[ok]))[:, None] * step[ok]
+    u, _, vh = np.linalg.svd(psi_e.reshape(-1, d, d))
+    return fire[ok], u[:, :, :k] if side == 0 else vh[:, :k].transpose(0, 2, 1)
+
+
 def _seesaw(w: np.ndarray, d: int, k: int, c0: np.ndarray, max_half_steps: int):
     """Alternating minimization over Schmidt-rank-k states, batched over restarts.
 
@@ -135,9 +160,13 @@ def _seesaw(w: np.ndarray, d: int, k: int, c0: np.ndarray, max_half_steps: int):
     (or kron(I, V) on the other side); the new k x d (or d x k)
     coefficient block gives the other side's support by QR. The current
     state lies in every compression's range, so each restart's value never
-    rises. A restart leaves the batch after STALL_STEPS half-steps in a
-    row that each gain at most STALL_TOL; the run ends when the best value
+    rises. A restart leaves the batch after STALL_STEPS rounds in a row
+    that each gain at most STALL_TOL; the run ends when the best value
     stalls the same way, when no restart is left, or after max_half_steps.
+
+    A restart in the geometric regime (see _extrapolate) also gets a half-step
+    on the support of its extrapolated state in the same eigh batch, kept only
+    when strictly lower than the plain one; that round counts two half-steps.
 
     Returns (values, states, history, half_steps, last_improvement):
     final values and unit state vectors per restart, and the per-restart
@@ -147,6 +176,7 @@ def _seesaw(w: np.ndarray, d: int, k: int, c0: np.ndarray, max_half_steps: int):
     states = c0.reshape(restarts, d * d).copy()
     values = np.einsum("rx,xy,ry->r", states.conj(), w, states).real
     history = [values.copy()]
+    trail = [(values.copy(), states.copy())]
     stall = np.zeros(restarts, dtype=int)
     active = np.arange(restarts)
     basis = np.linalg.svd(c0)[0][:, :, :k]
@@ -156,15 +186,25 @@ def _seesaw(w: np.ndarray, d: int, k: int, c0: np.ndarray, max_half_steps: int):
     last_improvement = 0.0
     half_steps = 0
     while half_steps < max_half_steps and active.size:
-        iso = _lift(basis, d, side)
-        comp = iso.conj().transpose(0, 2, 1) @ (w @ iso)
-        evals, evecs = np.linalg.eigh(comp)
-        x = evecs[:, :, 0]
-        gain = values[active] - evals[:, 0]
-        values[active] = evals[:, 0]
-        states[active] = (iso @ x[:, :, None])[:, :, 0]
-        stall[active] = np.where(gain <= STALL_TOL, stall[active] + 1, 0)
+        n, before = active.size, values[active]
+        fired, basis_e = active[:0], basis[:0]
+        if len(trail) == 7 and half_steps + 2 <= max_half_steps:
+            fired, basis_e = _extrapolate(trail, active, d, k, side)
+        iso = _lift(np.concatenate([basis, basis_e]), d, side)
+        evals, evecs = np.linalg.eigh(iso.conj().transpose(0, 2, 1) @ (w @ iso))
+        low, pick = evals[:, 0], np.arange(n)
+        if fired.size:
+            values[active] = low[:n]
+            history.append(values.copy())
+            half_steps += 1
+            take = low[n:] < low[fired]
+            pick[fired[take]] = n + np.flatnonzero(take)
+        x = evecs[pick, :, 0]
+        values[active] = low[pick]
+        states[active] = (iso[pick] @ x[:, :, None])[:, :, 0]
+        stall[active] = np.where(before - low[pick] <= STALL_TOL, stall[active] + 1, 0)
         history.append(values.copy())
+        trail = trail[-6:] + [(values.copy(), states.copy())]
         half_steps += 1
 
         new_best = float(values.min())
@@ -191,7 +231,7 @@ def min_schmidt_k(witness, k: int, restarts: int = 50, iters: int = 500,
 
     For k < d a two-sided see-saw (see _seesaw) runs from `restarts`
     rank-k starts, each drawn from a PRNG stream derived from (seed,
-    restart index); iters caps the see-saw rounds of two half-steps. At
+    restart index); it stops by 2 x iters half-steps at the latest. At
     k = d the minimum is lambda_min(W), taken from one eigh. samples in
     the report is the budget restarts x iters, not the work done.
     The verdict is violated only when the minimum is below -CERTIFY_TOL

@@ -156,7 +156,7 @@ def a_coefficient(geam: Geam, k: int, l: int, kk: int) -> float:
     S is the analytic geam.derived.s, so the weight is O(1) arithmetic on
     the parameters; raises when the GEAM is not equidistant.
     """
-    d = geam.d
+    d, k, l, kk = geam.d, as_int(k, "k"), as_int(l, "L"), as_int(kk, "K")
     if not 1 <= l <= kk <= geam.n_groups:
         raise ValidationError(f"need 1 <= L <= K <= N, got L={l}, K={kk}")
     if not 1 <= k <= d:
@@ -168,9 +168,9 @@ def a_coefficient(geam: Geam, k: int, l: int, kk: int) -> float:
 
 def phi_k(geam: Geam, rotations, k: int, l: int, kk: int) -> Superoperator:
     """Signed combination A Phi_0 + sum_{L<alpha<=K} Phi_alpha - sum_{alpha<=L} Phi_alpha."""
+    a_k = a_coefficient(geam, k, l, kk)
     if len(rotations) < kk:
         raise ValidationError(f"need rotations for groups 1..{kk}, got {len(rotations)}")
-    a_k = a_coefficient(geam, k, l, kk)
     total = a_k * phi_zero(geam.d).matrix
     for alpha in range(l, kk):
         total = total + phi_alpha(geam, alpha, rotations[alpha]).matrix
@@ -255,10 +255,10 @@ def frame_witness(geam: Geam, rotations, k: int, l: int, kk: int) -> np.ndarray:
     rotation with the output operators P_k first, so it shares no
     intermediate with phi_alpha.
     """
+    a_k = a_coefficient(geam, k, l, kk)
     if len(rotations) < kk:
         raise ValidationError(f"need rotations for groups 1..{kk}, got {len(rotations)}")
     d = geam.d
-    a_k = a_coefficient(geam, k, l, kk)
     w = a_k / d * np.eye(d * d, dtype=complex)
     for alpha in range(kk):
         grp = geam.ops[alpha]

@@ -57,6 +57,14 @@ def test_partition_layouts():
     assert [g.shape[0] for g in basis.groups] == [2, 2, 2, 2]
 
 
+def test_partition_accepts_array_basis():
+    listed = partition_basis(gell_mann_basis(2), (2, 2, 2))
+    stacked = partition_basis(np.array(gell_mann_basis(2)), (2, 2, 2))
+    assert stacked.m_sizes == listed.m_sizes
+    for a, b in zip(stacked.groups, listed.groups):
+        assert np.array_equal(a, b)
+
+
 def test_partition_errors():
     flat = gell_mann_basis(2)
     with pytest.raises(ValidationError):

@@ -3,11 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from geamkit import (Superoperator, ValidationError, brute_force_oracle, build_witness,
-                     flip_operator, haar_unitary, mehta_ratio, min_schmidt_k,
-                     phi_k, phi_zero, rotation_set, superop_from_choi)
+from geamkit import (GeamParams, Superoperator, ValidationError, brute_force_oracle,
+                     build_geam, build_witness, flip_operator, gell_mann_hermitian_basis,
+                     haar_unitary, mehta_ratio, min_schmidt_k, mub_layout, phi_k, phi_zero,
+                     random_rank_k_coefficients, rotation_set, superop_from_choi)
 from geamkit.certify import (VERDICT_CERTIFIED, VERDICT_VIOLATED,
-                             SchmidtStateSample)
+                             SchmidtStateSample, _starts)
 
 I2 = np.eye(2)
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -307,3 +308,39 @@ def test_seesaw_values_never_rise(qubit_geam, qutrit_geam):
             assert np.diff(history, axis=0).max() <= 1e-12
             again = np.einsum("rx,xy,ry->r", states.conj(), w, states).real
             assert np.abs(again - values).max() < 1e-10
+
+
+def test_starts_match_per_restart_reference():
+    # reference: one random_rank_k_coefficients call per restart stream
+    for d, k in ((2, 1), (3, 2), (4, 3)):
+        for seed in (0, 7):
+            ref = [random_rank_k_coefficients(d, k, np.random.default_rng(
+                np.random.SeedSequence(entropy=seed, spawn_key=(r,)))) for r in range(50)]
+            assert np.array_equal(_starts(d, k, 50, seed), np.array(ref))
+
+
+def _ququart_mub():
+    """The GEAM of `geamkit build-geam --d 4 --layout mub --b 0.3`."""
+    m = mub_layout(4)
+    params = GeamParams(d=4, m=m, gamma=[0.2] * 5, b=[0.3] * 5, tau_sign=[1] * 5)
+    return build_geam(gell_mann_hermitian_basis(4, m), params, auto_sign=True)
+
+
+def test_seesaw_readme_ququart_case():
+    # the README pipeline at d = 4 (k = 1, L = 1, K = 5, rotation seed 5,
+    # certify seed 2): the plain see-saw takes 874 half-steps to 1.410356e-11
+    geam = _ququart_mub()
+    rep = min_schmidt_k(build_witness(geam, rotation_set(geam, 5), 1, 1, 5), 1, seed=2)
+    assert rep.convergence.half_steps < 874
+    assert rep.min_value <= 1.410355990859e-11 + 1e-12
+
+
+def test_seesaw_slow_ququart_case_ends_before_cap():
+    # k = 2, L = 2, K = 4: the plain see-saw reaches the 1000-half-step cap
+    # at 0.001161568107799 while still improving
+    geam = _ququart_mub()
+    rng = np.random.default_rng(5)
+    rots = [_draw_rotation(4, rng) for _ in range(5)]
+    rep = min_schmidt_k(build_witness(geam, rots, 2, 2, 4), 2, seed=2)
+    assert rep.convergence.half_steps < 2 * rep.iters
+    assert rep.min_value <= 0.001161568107799 + 1e-12

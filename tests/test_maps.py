@@ -213,6 +213,16 @@ def test_a_coefficient_range_checks(qubit_geam):
         a_coefficient(qubit_geam, 1, 2, 1)  # L > K
 
 
+@pytest.mark.parametrize("k, l, kk", [(1.5, 1, 3), (1, 1.0, 3), (1, 1, True), (1, 1, "3")])
+def test_weight_requires_integer_ranks(qubit_geam, k, l, kk):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        a_coefficient(qubit_geam, k, l, kk)
+    rots = rotation_set(qubit_geam, 0)
+    for build in (phi_k, frame_witness, build_witness):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            build(qubit_geam, rots, k, l, kk)
+
+
 # ------------------------------------------------------------- assembled maps
 
 def test_phi_k_trace_property(qubit_geam, qutrit_geam):
