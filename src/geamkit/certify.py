@@ -5,11 +5,12 @@ expectation value on every pure state of Schmidt rank at most k. Below
 k = d the minimizer is a two-sided see-saw: with a k-dimensional support
 fixed on one side, the best state is the lowest eigenvector of a (kd) x
 (kd) compression of the witness; the supports alternate between the two
-sides until the value stops falling, and a restart that contracts
-geometrically also tries its Aitken-extrapolated support, kept if lower.
-At k = d the minimum is the lowest eigenvalue. Restarts are independent
-and the verdict is labelled "numerically certified", never proved; the
-report brackets the true minimum between lambda_min(W) and the value found.
+sides until the value stops falling. Restarts that contract geometrically
+or gain little per round also try an Aitken-extrapolated or a Newton
+support on Gr(k, d), kept only if lower. At k = d the minimum is the lowest
+eigenvalue. Restarts are independent and the verdict is labelled
+"numerically certified", never proved; the report brackets the true
+minimum between lambda_min(W) and the value found.
 """
 
 from dataclasses import dataclass
@@ -28,6 +29,7 @@ REEVAL_TOL = 1e-10
 STALL_TOL = 1e-13
 STALL_STEPS = 3
 NEAR_BEST_TOL = 1e-9
+NEWTON_GATE = 1e-6  # largest round gain at which a restart tries a Newton step
 
 VERDICT_CERTIFIED = "certified-k-positive-numerically"
 VERDICT_VIOLATED = "violated"
@@ -110,21 +112,59 @@ def _starts(d: int, k: int, restarts: int, seed: int) -> np.ndarray:
     return np.array([x / np.linalg.norm(x) for x in c])
 
 
-def _lift(basis: np.ndarray, d: int, side: int) -> np.ndarray:
-    """Batched isometries kron(V, I) (side 0) or kron(I, V) (side 1).
+def _frames(w: np.ndarray, d: int):
+    """W as each side reads it, and each of those in the (d^3, d) form that _compress takes.
 
-    basis holds d x k matrices V with orthonormal columns. The range of
-    kron(V, I) is every state whose coefficient matrix has its column
-    space in span(V); that of kron(I, V), every state whose row space
-    (rows taken as they are, not conjugated) lies in span(V).
+    Side 1 reads W with its factors swapped: its state X V^T is (V X^T)^T.
     """
-    a, _, k = basis.shape
-    eye = np.eye(d)
-    if side == 0:
-        iso = basis[:, :, None, :, None] * eye[None, None, :, None, :]
-    else:
-        iso = eye[None, :, None, :, None] * basis[:, None, :, None, :]
-    return iso.reshape(a, d * d, k * d)
+    ws = [w, w.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)]
+    return ws, [f.reshape(d, d, d, d).transpose(0, 1, 3, 2).reshape(-1, d) for f in ws]
+
+
+def _compress(wr: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Batched compressions kron(V, I)^dag W kron(V, I) for the d x k isometries V in basis.
+
+    wr is as _frames gives it. The eigenvector x is the state V x.reshape(k, d).
+    """
+    a, d, k = basis.shape
+    t = basis.conj().transpose(0, 2, 1) @ (wr @ basis).reshape(a, d, -1)
+    return t.reshape(a, k, d, d, k).transpose(0, 1, 2, 4, 3).reshape(a, k * d, k * d)
+
+
+def _newton(w: np.ndarray, basis: np.ndarray, evals: np.ndarray, evecs: np.ndarray):
+    """Newton step on Gr(k, d) for f(V) = lambda_min of the compression of w at V.
+
+    evals, evecs: that compression's eigenpairs; X_j is the j-th eigenvector as a
+    k x d matrix. Coordinates: b in R^{2n}, n = k(d-k), and V(b) = qf(V + V_perp B)
+    with B = b[:n] + i b[n:] as a (d-k) x k matrix, V_perp from V's complete QR.
+    With psi = V X_0, u_p = V_perp E_p X_0 (E_p: B at b = e_p) and c_jp =
+    <V X_j, W u_p> + <V_perp E_p X_j, W psi>, the gradient is c_0p = 2 Re u_p^dag
+    W psi and the Hessian 2 Re u_p^dag (W - lambda_0) u_q + 2 Re sum_{j>0}
+    conj(c_jp) c_jq / (lambda_0 - lambda_j). Returns V(b) at the Newton step for
+    the Hessian shifted to be positive definite, the gradients and the Hessians.
+    """
+    a, d, k = basis.shape
+    x = evecs.reshape(a, k, d, -1)
+    perp = np.linalg.qr(basis, mode="complete")[0][:, :, k:]
+    phi = np.einsum("amp,apnj->ajmn", basis, x).reshape(a, k * d, d * d)
+    y = phi[:, 0] @ w.T
+    u = np.einsum("s,ami,aqn->asiqmn", [1, 1j], perp, x[..., 0]).reshape(a, -1, d * d)
+    wu = u @ w.T
+    perp_y = perp.conj().transpose(0, 2, 1) @ y.reshape(a, d, d)
+    t = np.einsum("s,aqnj,ain->ajsiq", [1, -1j], x.conj(), perp_y).reshape(a, k * d, -1)
+    c = phi.conj() @ wu.transpose(0, 2, 1) + t
+    grad = c[:, 0].real
+    lam, tiny = evals[:, :1, None], np.finfo(float).tiny
+    # an exactly degenerate lambda_0 gets the gap eigh can resolve, not a division by 0
+    floor = 1e-14 * np.abs(evals).max(axis=1)[:, None, None] + tiny
+    gap = np.maximum(evals[:, 1:, None] - lam, floor)
+    hess = 2 * (u.conj() @ (wu - lam * u).transpose(0, 2, 1)
+                - (c[:, 1:].conj() / gap).transpose(0, 2, 1) @ c[:, 1:]).real
+    mu = np.linalg.eigvalsh(hess)
+    shift = np.maximum(-2 * mu[:, 0], 0) + 1e-9 * np.abs(mu).max(axis=1) + tiny
+    b = np.linalg.solve(hess + shift[:, None, None] * np.eye(hess.shape[1]), -grad[..., None])
+    step = (np.array([1, 1j]) @ b.reshape(a, 2, -1)).reshape(a, d - k, k)
+    return np.linalg.qr(basis + perp @ step)[0], grad, hess
 
 
 def _extrapolate(trail, active: np.ndarray, d: int, k: int, side: int):
@@ -134,8 +174,8 @@ def _extrapolate(trail, active: np.ndarray, d: int, k: int, side: int):
     psi_{t-4}, psi_{t-2}, psi_t from one side. A restart fires when its last two
     2-half-step gain ratios agree within 2 % and, phases aligned, q = |psi_t -
     psi_{t-2}| / |psi_{t-2} - psi_{t-4}| lies in (0.2, 0.999). Returns the firing
-    positions in `active` and the rank-k supports, on `side` as _lift takes them,
-    of psi_t + q/(1 - q) (psi_t - psi_{t-2}).
+    positions in `active` and the rank-k supports, on `side`, of psi_t + q/(1 - q)
+    (psi_t - psi_{t-2}).
     """
     gains = -np.diff([trail[i][0][active] for i in (0, 2, 4, 6)], axis=0)
     g = np.where(gains > 0, gains, np.nan)
@@ -167,17 +207,23 @@ def _seesaw(w: np.ndarray, d: int, k: int, c0: np.ndarray, max_half_steps: int):
     A restart in the geometric regime (see _extrapolate) also gets a half-step
     on the support of its extrapolated state in the same eigh batch, kept only
     when strictly lower than the plain one; that round counts two half-steps.
+    A restart whose last two rounds each gained in (STALL_TOL, NEWTON_GATE], or whose
+    last Newton step gained more than STALL_TOL, then tries the Newton support
+    (_newton) too: one more half-step, kept only when strictly lower.
 
     Returns (values, states, history, half_steps, last_improvement):
     final values and unit state vectors per restart, and the per-restart
     values after each half-step (row 0 holds the starting values).
     """
     restarts = c0.shape[0]
+    ws, wrs = _frames(w, d)
     states = c0.reshape(restarts, d * d).copy()
     values = np.einsum("rx,xy,ry->r", states.conj(), w, states).real
     history = [values.copy()]
     trail = [(values.copy(), states.copy())]
     stall = np.zeros(restarts, dtype=int)
+    last = np.full(restarts, np.inf)  # each restart's gain in its last round
+    chain = np.zeros(restarts, dtype=bool)  # its last Newton step gained > STALL_TOL
     active = np.arange(restarts)
     basis = np.linalg.svd(c0)[0][:, :, :k]
     side = 0
@@ -190,8 +236,8 @@ def _seesaw(w: np.ndarray, d: int, k: int, c0: np.ndarray, max_half_steps: int):
         fired, basis_e = active[:0], basis[:0]
         if len(trail) == 7 and half_steps + 2 <= max_half_steps:
             fired, basis_e = _extrapolate(trail, active, d, k, side)
-        iso = _lift(np.concatenate([basis, basis_e]), d, side)
-        evals, evecs = np.linalg.eigh(iso.conj().transpose(0, 2, 1) @ (w @ iso))
+        cand = np.concatenate([basis, basis_e])
+        evals, evecs = np.linalg.eigh(_compress(wrs[side], cand))
         low, pick = evals[:, 0], np.arange(n)
         if fired.size:
             values[active] = low[:n]
@@ -199,10 +245,28 @@ def _seesaw(w: np.ndarray, d: int, k: int, c0: np.ndarray, max_half_steps: int):
             half_steps += 1
             take = low[n:] < low[fired]
             pick[fired[take]] = n + np.flatnonzero(take)
-        x = evecs[pick, :, 0]
-        values[active] = low[pick]
-        states[active] = (iso[pick] @ x[:, :, None])[:, :, 0]
-        stall[active] = np.where(before - low[pick] <= STALL_TOL, stall[active] + 1, 0)
+        basis, evals, evecs = cand[pick], evals[pick], evecs[pick]
+        gains = np.stack([before - evals[:, 0], last[active]])
+        near = np.flatnonzero(((gains > STALL_TOL) & (gains <= NEWTON_GATE)).all(axis=0)
+                              | chain[active])
+        newton_gain = np.zeros(n)
+        if near.size and half_steps + 2 <= max_half_steps:
+            values[active] = evals[:, 0]
+            history.append(values.copy())
+            half_steps += 1
+            basis_n = _newton(ws[side], basis[near], evals[near], evecs[near])[0]
+            evals_n, evecs_n = np.linalg.eigh(_compress(wrs[side], basis_n))
+            newton_gain[near] = evals[near, 0] - evals_n[:, 0]
+            take = newton_gain[near] > 0
+            near = near[take]
+            basis[near], evals[near], evecs[near] = basis_n[take], evals_n[take], evecs_n[take]
+        chain[active] = newton_gain > STALL_TOL
+        x = evecs[:, :, 0].reshape(-1, k, d)
+        values[active] = evals[:, 0]
+        c = basis @ x
+        states[active] = (c if side == 0 else c.transpose(0, 2, 1)).reshape(-1, d * d)
+        last[active] = before - values[active]
+        stall[active] = np.where(last[active] <= STALL_TOL, stall[active] + 1, 0)
         history.append(values.copy())
         trail = trail[-6:] + [(values.copy(), states.copy())]
         half_steps += 1
@@ -216,11 +280,7 @@ def _seesaw(w: np.ndarray, d: int, k: int, c0: np.ndarray, max_half_steps: int):
 
         keep = stall[active] < STALL_STEPS
         active = active[keep]
-        if side == 0:
-            block = x[keep].reshape(-1, k, d).transpose(0, 2, 1)
-        else:
-            block = x[keep].reshape(-1, d, k)
-        basis = np.linalg.qr(block)[0]
+        basis = np.linalg.qr(x[keep].transpose(0, 2, 1))[0]
         side = 1 - side
     return values, states, np.array(history), half_steps, last_improvement
 

@@ -344,3 +344,117 @@ def test_seesaw_slow_ququart_case_ends_before_cap():
     rep = min_schmidt_k(build_witness(geam, rots, 2, 2, 4), 2, seed=2)
     assert rep.convergence.half_steps < 2 * rep.iters
     assert rep.min_value <= 0.001161568107799 + 1e-12
+
+
+def _hermitian(n, rng):
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return a + a.conj().T
+
+
+def _supports(d, k, count, rng):
+    g = rng.standard_normal((count, d, k)) + 1j * rng.standard_normal((count, d, k))
+    return np.linalg.qr(g)[0]
+
+
+def test_compression_matches_explicit_kron():
+    from geamkit.certify import _compress, _frames
+
+    rng = np.random.default_rng(11)
+    for d in (2, 3, 4):
+        w = _hermitian(d * d, rng)
+        wrs = _frames(w, d)[1]
+        for k in range(1, d):
+            basis = _supports(d, k, 3, rng)
+            for side in (0, 1):
+                got = _compress(wrs[side], basis)
+                for v, m in zip(basis, got):
+                    if side == 0:
+                        iso = np.kron(v, np.eye(d))
+                        ref = iso.conj().T @ w @ iso
+                    else:
+                        # side 1 orders the compression's index as (q, m), not (m, q)
+                        iso = np.kron(np.eye(d), v)
+                        ref = iso.conj().T @ w @ iso
+                        ref = ref.reshape(d, k, d, k).transpose(1, 0, 3, 2).reshape(k * d, -1)
+                    assert np.abs(m - ref).max() <= 1e-14 * np.linalg.norm(w, 2)
+
+
+def test_newton_derivatives_match_central_differences():
+    # f(b) = lambda_min of the compression at qf(V + V_perp B), B = b[:n] + i b[n:]
+    from geamkit.certify import _compress, _frames, _newton
+
+    rng = np.random.default_rng(12)
+    h = 1e-5
+    for d in (3, 4):
+        w = _hermitian(d * d, rng)
+        ws, wrs = _frames(w, d)
+        for k in range(1, d):
+            n = (d - k) * k
+            v = _supports(d, k, 1, rng)
+            perp = np.linalg.qr(v[0], mode="complete")[0][:, k:]
+            for side in (0, 1):
+                evals, evecs = np.linalg.eigh(_compress(wrs[side], v))
+                _, grad, hess = _newton(ws[side], v, evals, evecs)
+
+                def f(b):
+                    step = (b[:n] + 1j * b[n:]).reshape(d - k, k)
+                    moved = np.linalg.qr(v[0] + perp @ step)[0]
+                    return np.linalg.eigvalsh(_compress(wrs[side], moved[None]))[0, 0]
+
+                e = h * np.eye(2 * n)
+                fd_grad = [(f(p) - f(-p)) / (2 * h) for p in e]
+                fd_hess = [[(f(p + q) - f(p - q) - f(q - p) + f(-p - q)) / (4 * h * h)
+                            for q in e] for p in e]
+                scale = np.abs(hess).max()
+                assert np.abs(grad[0] - fd_grad).max() <= 1e-8 * scale
+                assert np.abs(hess[0] - np.array(fd_hess)).max() <= 1e-4 * scale
+
+
+def test_newton_step_finite_on_degenerate_compression():
+    # W = A (x) I makes every side-0 compression (V^dag A V) (x) I, so lambda_0
+    # is exactly d-fold degenerate there
+    from geamkit.certify import _compress, _frames, _newton
+
+    rng = np.random.default_rng(13)
+    for d, k in ((3, 1), (4, 2)):
+        w = np.kron(_hermitian(d, rng), np.eye(d))
+        basis = _supports(d, k, 2, rng)
+        evals, evecs = np.linalg.eigh(_compress(_frames(w, d)[1][0], basis))
+        support, grad, hess = _newton(w, basis, evals, evecs)
+        assert np.isfinite(hess).all()
+        overlap = support.conj().transpose(0, 2, 1) @ support
+        assert np.abs(overlap - np.eye(k)).max() < 1e-12
+
+
+def test_seesaw_readme_ququart_case_reaches_zero():
+    # with the Newton candidate the README case converges instead of stalling
+    # at 8.3e-12 after 177 half-steps
+    geam = _ququart_mub()
+    rep = min_schmidt_k(build_witness(geam, rotation_set(geam, 5), 1, 1, 5), 1, seed=2)
+    assert rep.convergence.half_steps <= 60
+    assert abs(rep.min_value) <= 1e-13
+
+
+def test_seesaw_tight_rows_reach_zero():
+    # ququart MUB layout at b = 0.3, rotation sets 0-2, k = 1, every L <= K:
+    # seven rows are tight at 0 (the rest lie above 1.6e-7); the stall rule
+    # alone left them at 1.2e-13 to 5.6e-13
+    geam = _ququart_mub()
+    values = []
+    for seed in range(3):
+        rots = rotation_set(geam, seed)
+        for kk in range(1, 6):
+            for l in range(1, kk + 1):
+                rep = min_schmidt_k(build_witness(geam, rots, 1, l, kk), 1, seed=seed)
+                values.append(rep.min_value)
+    tight = [v for v in values if v <= 1e-9]
+    assert len(tight) == 7
+    assert max(abs(v) for v in tight) <= 1e-13
+
+
+def test_seesaw_qubit_half_steps_unchanged(qubit_geam):
+    # qubit rows stall within a few half-steps; the Newton candidate must not
+    # add any (k = 1, L = 1, K = 3, rotation seed 0)
+    geam = qubit_geam
+    rep = min_schmidt_k(build_witness(geam, rotation_set(geam, 0), 1, 1, 3), 1, seed=0)
+    assert rep.convergence.half_steps == 4
