@@ -5,12 +5,11 @@ expectation value on every pure state of Schmidt rank at most k. Below
 k = d the minimizer is a two-sided see-saw: with a k-dimensional support
 fixed on one side, the best state is the lowest eigenvector of a (kd) x
 (kd) compression of the witness; the supports alternate between the two
-sides until the value stops falling. Restarts that contract geometrically
-or gain little per round also try an Aitken-extrapolated or a Newton
-support on Gr(k, d), kept only if lower. At k = d the minimum is the lowest
-eigenvalue. Restarts are independent and the verdict is labelled
-"numerically certified", never proved; the report brackets the true
-minimum between lambda_min(W) and the value found.
+sides until the value stops falling. Restarts that gain little per round
+also try a Newton support on Gr(k, d), kept only if lower. At k = d the
+minimum is the lowest eigenvalue. Restarts are independent and the
+verdict is labelled "numerically certified", never proved; the report
+brackets the true minimum between lambda_min(W) and the value found.
 """
 
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import haar_unitary
+from .linalg import as_int, haar_unitary
 from .maps import Superoperator, as_witness
 
 CERTIFY_TOL = 1e-8
@@ -98,7 +97,7 @@ class CertificationReport:
 
 def _matrix_and_d(witness, k: int) -> tuple[np.ndarray, int]:
     """The checked witness matrix and its d, for a rank 1 <= k <= d."""
-    witness = as_witness(witness)
+    witness, k = as_witness(witness), as_int(k, "k")
     if not 1 <= k <= witness.d:
         raise ValidationError(f"need 1 <= k <= d, got k={k}, d={witness.d}")
     return witness.w, witness.d
@@ -167,31 +166,6 @@ def _newton(w: np.ndarray, basis: np.ndarray, evals: np.ndarray, evecs: np.ndarr
     return np.linalg.qr(basis + perp @ step)[0], grad, hess
 
 
-def _extrapolate(trail, active: np.ndarray, d: int, k: int, side: int):
-    """Aitken steps for the active restarts whose see-saw contracts geometrically.
-
-    trail holds (values, states) after the last seven rounds: entries 2, 4, 6 are
-    psi_{t-4}, psi_{t-2}, psi_t from one side. A restart fires when its last two
-    2-half-step gain ratios agree within 2 % and, phases aligned, q = |psi_t -
-    psi_{t-2}| / |psi_{t-2} - psi_{t-4}| lies in (0.2, 0.999). Returns the firing
-    positions in `active` and the rank-k supports, on `side`, of psi_t + q/(1 - q)
-    (psi_t - psi_{t-2}).
-    """
-    gains = -np.diff([trail[i][0][active] for i in (0, 2, 4, 6)], axis=0)
-    g = np.where(gains > 0, gains, np.nan)
-    r = g[1:] / g[:-1]
-    fire = np.flatnonzero(np.abs(r[1] - r[0]) <= 0.02 * r[0])
-    psi = [trail[i][1][active[fire]] for i in (6, 4, 2)]
-    for i in (1, 2):
-        psi[i] *= np.exp(1j * np.angle((psi[i].conj() * psi[i - 1]).sum(axis=1)))[:, None]
-    step = psi[0] - psi[1]
-    q = np.linalg.norm(step, axis=1) / np.maximum(np.linalg.norm(psi[1] - psi[2], axis=1), 1e-300)
-    ok = (q > 0.2) & (q < 0.999)
-    psi_e = psi[0][ok] + (q[ok] / (1 - q[ok]))[:, None] * step[ok]
-    u, _, vh = np.linalg.svd(psi_e.reshape(-1, d, d))
-    return fire[ok], u[:, :, :k] if side == 0 else vh[:, :k].transpose(0, 2, 1)
-
-
 def _seesaw(w: np.ndarray, d: int, k: int, c0: np.ndarray, max_half_steps: int):
     """Alternating minimization over Schmidt-rank-k states, batched over restarts.
 
@@ -204,12 +178,9 @@ def _seesaw(w: np.ndarray, d: int, k: int, c0: np.ndarray, max_half_steps: int):
     that each gain at most STALL_TOL; the run ends when the best value
     stalls the same way, when no restart is left, or after max_half_steps.
 
-    A restart in the geometric regime (see _extrapolate) also gets a half-step
-    on the support of its extrapolated state in the same eigh batch, kept only
-    when strictly lower than the plain one; that round counts two half-steps.
     A restart whose last two rounds each gained in (STALL_TOL, NEWTON_GATE], or whose
-    last Newton step gained more than STALL_TOL, then tries the Newton support
-    (_newton) too: one more half-step, kept only when strictly lower.
+    last Newton step gained more than STALL_TOL, also tries the Newton support
+    (_newton): one more half-step, kept only when strictly lower.
 
     Returns (values, states, history, half_steps, last_improvement):
     final values and unit state vectors per restart, and the per-restart
@@ -220,7 +191,6 @@ def _seesaw(w: np.ndarray, d: int, k: int, c0: np.ndarray, max_half_steps: int):
     states = c0.reshape(restarts, d * d).copy()
     values = np.einsum("rx,xy,ry->r", states.conj(), w, states).real
     history = [values.copy()]
-    trail = [(values.copy(), states.copy())]
     stall = np.zeros(restarts, dtype=int)
     last = np.full(restarts, np.inf)  # each restart's gain in its last round
     chain = np.zeros(restarts, dtype=bool)  # its last Newton step gained > STALL_TOL
@@ -232,24 +202,12 @@ def _seesaw(w: np.ndarray, d: int, k: int, c0: np.ndarray, max_half_steps: int):
     last_improvement = 0.0
     half_steps = 0
     while half_steps < max_half_steps and active.size:
-        n, before = active.size, values[active]
-        fired, basis_e = active[:0], basis[:0]
-        if len(trail) == 7 and half_steps + 2 <= max_half_steps:
-            fired, basis_e = _extrapolate(trail, active, d, k, side)
-        cand = np.concatenate([basis, basis_e])
-        evals, evecs = np.linalg.eigh(_compress(wrs[side], cand))
-        low, pick = evals[:, 0], np.arange(n)
-        if fired.size:
-            values[active] = low[:n]
-            history.append(values.copy())
-            half_steps += 1
-            take = low[n:] < low[fired]
-            pick[fired[take]] = n + np.flatnonzero(take)
-        basis, evals, evecs = cand[pick], evals[pick], evecs[pick]
+        before = values[active]
+        evals, evecs = np.linalg.eigh(_compress(wrs[side], basis))
         gains = np.stack([before - evals[:, 0], last[active]])
         near = np.flatnonzero(((gains > STALL_TOL) & (gains <= NEWTON_GATE)).all(axis=0)
                               | chain[active])
-        newton_gain = np.zeros(n)
+        newton_gain = np.zeros(active.size)
         if near.size and half_steps + 2 <= max_half_steps:
             values[active] = evals[:, 0]
             history.append(values.copy())
@@ -268,7 +226,6 @@ def _seesaw(w: np.ndarray, d: int, k: int, c0: np.ndarray, max_half_steps: int):
         last[active] = before - values[active]
         stall[active] = np.where(last[active] <= STALL_TOL, stall[active] + 1, 0)
         history.append(values.copy())
-        trail = trail[-6:] + [(values.copy(), states.copy())]
         half_steps += 1
 
         new_best = float(values.min())
@@ -299,6 +256,8 @@ def min_schmidt_k(witness, k: int, restarts: int = 50, iters: int = 500,
     agrees with the tracked value.
     """
     w, d = _matrix_and_d(witness, k)
+    if min(as_int(restarts, "restarts"), as_int(iters, "iters")) < 1:
+        raise ValidationError(f"need restarts >= 1 and iters >= 1, got {restarts} and {iters}")
 
     if k == d:
         evals, evecs = np.linalg.eigh(w)

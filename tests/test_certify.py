@@ -38,6 +38,14 @@ def test_inputs_validated():
         min_schmidt_k(np.eye(4) + 1j * np.eye(4), 1)  # not Hermitian
     with pytest.raises(ValidationError):
         min_schmidt_k(np.eye(4, dtype=complex), 3)  # k > d
+    # a degenerate budget would report a verdict from an unminimized start,
+    # and a non-integer k would fail deep inside the start draws
+    for kwargs in ({"iters": 0}, {"restarts": 0}, {"restarts": 2.0}, {"iters": True}):
+        with pytest.raises(ValidationError):
+            min_schmidt_k(np.eye(4, dtype=complex), 1, **kwargs)
+    for k in (1.0, 1.5, True, "1"):
+        with pytest.raises(ValidationError):
+            min_schmidt_k(np.eye(4, dtype=complex), k)
 
 
 def test_flip_operator_block_positive_but_not_2_positive():
@@ -435,21 +443,31 @@ def test_seesaw_readme_ququart_case_reaches_zero():
     assert abs(rep.min_value) <= 1e-13
 
 
-def test_seesaw_tight_rows_reach_zero():
-    # ququart MUB layout at b = 0.3, rotation sets 0-2, k = 1, every L <= K:
-    # seven rows are tight at 0 (the rest lie above 1.6e-7); the stall rule
-    # alone left them at 1.2e-13 to 5.6e-13
+@pytest.fixture(scope="module")
+def tight_grid():
+    """Reports on the ququart MUB layout at b = 0.3, rotation sets 0-2, k = 1, every L <= K."""
     geam = _ququart_mub()
-    values = []
+    reports = []
     for seed in range(3):
         rots = rotation_set(geam, seed)
         for kk in range(1, 6):
             for l in range(1, kk + 1):
-                rep = min_schmidt_k(build_witness(geam, rots, 1, l, kk), 1, seed=seed)
-                values.append(rep.min_value)
-    tight = [v for v in values if v <= 1e-9]
+                reports.append(min_schmidt_k(build_witness(geam, rots, 1, l, kk), 1, seed=seed))
+    return reports
+
+
+def test_seesaw_tight_rows_reach_zero(tight_grid):
+    # seven rows are tight at 0 (the rest lie above 1.6e-7); the stall rule
+    # alone left them at 1.2e-13 to 5.6e-13
+    tight = [r.min_value for r in tight_grid if r.min_value <= 1e-9]
     assert len(tight) == 7
     assert max(abs(v) for v in tight) <= 1e-13
+
+
+def test_seesaw_tight_grid_half_step_total(tight_grid):
+    # the Newton finish alone takes 979 half-steps on this grid; an Aitken
+    # candidate tried beside it cost one more half-step per firing (1,184)
+    assert sum(r.convergence.half_steps for r in tight_grid) <= 1050
 
 
 def test_seesaw_qubit_half_steps_unchanged(qubit_geam):
