@@ -17,8 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError
-from .linalg import as_int, haar_unitary
+from .linalg import as_count, as_rank, haar_unitary, random_rank_k_coefficients
 from .maps import Superoperator, as_witness
 
 CERTIFY_TOL = 1e-8
@@ -97,18 +96,9 @@ class CertificationReport:
 
 def _matrix_and_d(witness, k: int) -> tuple[np.ndarray, int]:
     """The checked witness matrix and its d, for a rank 1 <= k <= d."""
-    witness, k = as_witness(witness), as_int(k, "k")
-    if not 1 <= k <= witness.d:
-        raise ValidationError(f"need 1 <= k <= d, got k={k}, d={witness.d}")
+    witness = as_witness(witness)
+    as_rank(k, witness.d)
     return witness.w, witness.d
-
-
-def _starts(d: int, k: int, restarts: int, seed: int) -> np.ndarray:
-    """Rank-k starting coefficient matrices, one SeedSequence(seed) child stream per restart."""
-    g = np.array([np.random.default_rng(s).standard_normal(4 * d * k)
-                  for s in np.random.SeedSequence(seed).spawn(restarts)]).reshape(restarts, 4, -1)
-    c = (g[:, 0] + 1j * g[:, 1]).reshape(-1, d, k) @ (g[:, 2] + 1j * g[:, 3]).reshape(-1, k, d)
-    return np.array([x / np.linalg.norm(x) for x in c])
 
 
 def _frames(w: np.ndarray, d: int):
@@ -247,8 +237,8 @@ def min_schmidt_k(witness, k: int, restarts: int = 50, iters: int = 500,
     """Minimize <psi| W |psi> over Schmidt-rank-k pure states.
 
     For k < d a two-sided see-saw (see _seesaw) runs from `restarts`
-    rank-k starts, each drawn from a PRNG stream derived from (seed,
-    restart index); it stops by 2 x iters half-steps at the latest. At
+    rank-k starts, drawn as one random_rank_k_coefficients stack from
+    default_rng(seed); it stops by 2 x iters half-steps at the latest. At
     k = d the minimum is lambda_min(W), taken from one eigh. samples in
     the report is the budget restarts x iters, not the work done.
     The verdict is violated only when the minimum is below -CERTIFY_TOL
@@ -256,8 +246,7 @@ def min_schmidt_k(witness, k: int, restarts: int = 50, iters: int = 500,
     agrees with the tracked value.
     """
     w, d = _matrix_and_d(witness, k)
-    if min(as_int(restarts, "restarts"), as_int(iters, "iters")) < 1:
-        raise ValidationError(f"need restarts >= 1 and iters >= 1, got {restarts} and {iters}")
+    restarts, iters = as_count(restarts, "restarts"), as_count(iters, "iters")
 
     if k == d:
         evals, evecs = np.linalg.eigh(w)
@@ -265,7 +254,7 @@ def min_schmidt_k(witness, k: int, restarts: int = 50, iters: int = 500,
         best_c = evecs[:, 0].reshape(d, d)
         convergence = ConvergenceSummary("eigh", 0, 0, 0.0)
     else:
-        init = _starts(d, k, restarts, seed)
+        init = random_rank_k_coefficients(d, k, np.random.default_rng(seed), restarts)
         values, states, _, half_steps, last = _seesaw(w, d, k, init, 2 * iters)
         r_min = int(np.argmin(values))
         best_value = float(values[r_min])
@@ -304,24 +293,15 @@ def brute_force_oracle(witness, k: int, samples: int = 100_000,
                        seed: int = 0) -> float:
     """Pure random search over rank-k states, the independent cross-check.
 
-    Returns the smallest expectation value seen. Intended for d <= 4; used
-    in tests to bound the see-saw result from above.
+    Returns the smallest expectation value seen on random_rank_k_coefficients
+    stacks. Intended for d <= 4; tests bound the see-saw result by it from above.
     """
     w, d = _matrix_and_d(witness, k)
-    rng = np.random.default_rng(seed)
-    best = np.inf
-    batch = 20_000
-    done = 0
-    while done < samples:
-        n = min(batch, samples - done)
-        a = rng.standard_normal((n, d, k)) + 1j * rng.standard_normal((n, d, k))
-        bm = rng.standard_normal((n, k, d)) + 1j * rng.standard_normal((n, k, d))
-        c = a @ bm
-        v = c.reshape(n, d * d)
-        v /= np.linalg.norm(v, axis=1)[:, None]
-        vals = np.einsum("nx,xy,ny->n", v.conj(), w, v).real
-        best = min(best, float(vals.min()))
-        done += n
+    samples, rng = as_count(samples, "samples"), np.random.default_rng(seed)
+    best, batch = np.inf, 20_000
+    for done in range(0, samples, batch):
+        v = random_rank_k_coefficients(d, k, rng, min(batch, samples - done)).reshape(-1, d * d)
+        best = min(best, float(np.einsum("nx,xy,ny->n", v.conj(), w, v).real.min()))
     return best
 
 
@@ -352,9 +332,7 @@ def mehta_ratio(phi: Superoperator, k: int, samples: int = 500,
     numerically zero are skipped and counted. A maximum of at most 1/(kd - 1)
     is the Mehta certificate that every sampled output is PSD (see MehtaReport).
     """
-    d = phi.d
-    if not 1 <= k <= d:
-        raise ValidationError(f"need 1 <= k <= d, got k={k}, d={d}")
+    d, k, samples = phi.d, as_rank(k, phi.d), as_count(samples, "samples")
     rng = np.random.default_rng(seed)
     best = -np.inf
     skipped = 0

@@ -85,11 +85,8 @@ def random_schmidt_mixture(d: int, k: int, rng) -> np.ndarray:
     """
     rng = as_rng(rng)
     weights = rng.dirichlet(np.ones(2 * d))
-    rho = np.zeros((d * d, d * d), dtype=complex)
-    for w_i in weights:
-        v = random_rank_k_coefficients(d, k, rng).reshape(-1)
-        rho += w_i * np.outer(v, v.conj())
-    return rho
+    v = random_rank_k_coefficients(d, k, rng, 2 * d).reshape(2 * d, d * d)
+    return (weights[:, None] * v).T @ v.conj()
 
 
 class DetectionRecord(NamedTuple):

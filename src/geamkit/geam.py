@@ -276,7 +276,8 @@ def validate_geam(geam: Geam) -> ValidationReport:
     checks.append(CheckResult("P = P^dag", dev, PSD_TOL))
 
     dev = -min(np.linalg.eigvalsh(grp)[:, 0].min() for grp in geam.ops)
-    checks.append(CheckResult("P >= 0 (negated min eigenvalue)", max(dev, 0.0), PSD_TOL))
+    # 0.0 first: max(-0.0, 0.0) is -0.0, the sign a +0.0 eigenvalue leaves
+    checks.append(CheckResult("P >= 0 (negated min eigenvalue)", max(0.0, dev), PSD_TOL))
 
     return ValidationReport(checks=tuple(checks))
 

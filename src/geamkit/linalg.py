@@ -35,6 +35,20 @@ def as_int(x, name: str) -> int:
     return int(x)
 
 
+def as_count(x, name: str) -> int:
+    """x as a Python int >= 1; raises ValidationError otherwise."""
+    if as_int(x, name) < 1:
+        raise ValidationError(f"need {name} >= 1, got {x}")
+    return int(x)
+
+
+def as_rank(k, d: int) -> int:
+    """k as a Python int with 1 <= k <= d; raises ValidationError otherwise."""
+    if not 1 <= as_int(k, "k") <= d:
+        raise ValidationError(f"need 1 <= k <= d, got k={k}, d={d}")
+    return int(k)
+
+
 def as_real(x, name: str) -> float:
     """x as a Python float; raises ValidationError for a bool or a non-number."""
     if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
@@ -104,8 +118,7 @@ def flip_operator(d: int) -> np.ndarray:
 
 def max_entangled_projector(d: int, k: int) -> np.ndarray:
     """Projector onto (1/sqrt(k)) sum_{m<k} |mm>, embedded in C^d (x) C^d."""
-    if not 1 <= k <= d:
-        raise ValidationError(f"need 1 <= k <= d, got k={k}, d={d}")
+    k = as_rank(k, d)
     psi = np.zeros(d * d, dtype=complex)
     for m in range(k):
         psi[m * d + m] = 1.0
@@ -113,14 +126,15 @@ def max_entangled_projector(d: int, k: int) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def random_rank_k_coefficients(d: int, k: int, rng) -> np.ndarray:
-    """Random d x d coefficient matrix of rank <= k with unit Frobenius norm.
+def random_rank_k_coefficients(d: int, k: int, rng, n: int) -> np.ndarray:
+    """(n, d, d) stack of random coefficient matrices of rank <= k, unit Frobenius norm.
 
-    Interpreted as the state sum_{mn} C_{mn} |m>|n>, whose Schmidt rank is
-    the rank of C.
+    C = A B with complex Ginibre A (d x k) and B (k x d); C is read as the
+    state sum_{mn} C_{mn} |m>|n>, whose Schmidt rank is the rank of C. The
+    samples are drawn in turn from one stream, as in haar_unitary: a stack
+    of n is the first n of a stack of n + 1.
     """
-    rng = as_rng(rng)
-    a = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
-    b = rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d))
-    c = a @ b
-    return c / np.linalg.norm(c)
+    k, n = as_rank(k, d), as_count(n, "n")
+    g = as_rng(rng).standard_normal((n, 4, d * k))
+    c = (g[:, 0] + 1j * g[:, 1]).reshape(n, d, k) @ (g[:, 2] + 1j * g[:, 3]).reshape(n, k, d)
+    return c / np.linalg.norm(c, axis=(1, 2))[:, None, None]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .geam import Geam, common_s
-from .linalg import as_int, as_rng, vec
+from .linalg import as_int, as_rank, as_rng, vec
 
 HERMITICITY_PRESERVING_TOL = 1e-10
 ROTATION_TOL = 1e-10
@@ -156,11 +156,9 @@ def a_coefficient(geam: Geam, k: int, l: int, kk: int) -> float:
     S is the analytic geam.derived.s, so the weight is O(1) arithmetic on
     the parameters; raises when the GEAM is not equidistant.
     """
-    d, k, l, kk = geam.d, as_int(k, "k"), as_int(l, "L"), as_int(kk, "K")
+    d, k, l, kk = geam.d, as_rank(k, geam.d), as_int(l, "L"), as_int(kk, "K")
     if not 1 <= l <= kk <= geam.n_groups:
         raise ValidationError(f"need 1 <= L <= K <= N, got L={l}, K={kk}")
-    if not 1 <= k <= d:
-        raise ValidationError(f"need 1 <= k <= d, got k={k}")
     s = common_s(geam)
     mu_l, mu_k = geam.derived.mu(l), geam.derived.mu(kk)
     return float(-d * (mu_k - 2 * mu_l) + (k * d - 1) * s)

@@ -3,7 +3,7 @@ import pytest
 
 from geamkit import (ValidationError, conjugate_basis, frame_operators,
                      gell_mann_basis, gell_mann_hermitian_basis, haar_unitary,
-                     partition_basis)
+                     partition_basis, random_rank_k_coefficients)
 from geamkit.linalg import random_hermitian
 
 from conftest import LAYOUTS, assert_close
@@ -147,6 +147,14 @@ def test_haar_unitary_stack_matches_sequential_calls(d):
         # the stream continues where the single calls left it
         longer = haar_unitary(d, np.random.default_rng(seed), 8)
         assert np.array_equal(haar_unitary(d, rng), longer[7]), seed
+        # the rank-k draws follow the same one-stream convention
+        for k in range(1, d + 1):
+            rng = np.random.default_rng(seed)
+            pair = [random_rank_k_coefficients(d, k, rng, n) for n in (3, 4)]
+            longer = random_rank_k_coefficients(d, k, np.random.default_rng(seed), 8)
+            assert np.array_equal(np.concatenate(pair), longer[:7]), (seed, k)
+            assert np.abs(np.linalg.norm(longer, axis=(1, 2)) - 1).max() < 1e-14, (seed, k)
+            assert (np.linalg.svd(longer, compute_uv=False)[:, k:] <= 1e-12).all(), (seed, k)
 
 
 def test_conjugate_basis_by_explicit_unitary():

@@ -6,7 +6,8 @@ import pytest
 import geamkit.detect
 from geamkit import (IsotropicState, ValidationError, build_witness,
                      detection_threshold, max_entangled_projector,
-                     min_schmidt_k, random_schmidt_mixture, rotation_set,
+                     min_schmidt_k, random_rank_k_coefficients, random_schmidt_mixture,
+                     rotation_set,
                      sweep_isotropic, witness_expectation)
 from geamkit.certify import VERDICT_CERTIFIED
 from geamkit.detect import DETECTION_TOL
@@ -66,9 +67,18 @@ def test_expectation_accepts_nested_list_state(qubit_geam):
 
 
 def test_max_entangled_projector_rejects_rank_out_of_range():
-    for d, k in ((2, 3), (2, 0), (3, -1)):
-        with pytest.raises(ValidationError, match="need 1 <= k <= d"):
-            max_entangled_projector(d, k)
+    # the rank-k samplers apply the same rule to k, and need a count >= 1
+    for draw in (max_entangled_projector, lambda d, k: random_rank_k_coefficients(d, k, 0, 1),
+                 lambda d, k: random_schmidt_mixture(d, k, 0)):
+        for d, k in ((2, 3), (2, 0), (3, -1)):
+            with pytest.raises(ValidationError, match="need 1 <= k <= d"):
+                draw(d, k)
+        for k in (1.5, True, 1.0):
+            with pytest.raises(ValidationError, match="must be an integer"):
+                draw(2, k)
+    for n in (0, -2, 2.5):
+        with pytest.raises(ValidationError):
+            random_rank_k_coefficients(2, 1, 0, n)
 
 
 def test_isotropic_end_states_are_cached_and_read_only():

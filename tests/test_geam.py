@@ -135,6 +135,12 @@ def test_validation_report_fixtures(all_fixture_geams):
         assert report.max_deviation < 1e-12
 
 
+def test_validation_positivity_deviation_is_plus_zero():
+    # qubit_mub's smallest eigenvalue is +0.0; its negation must not be reported as -0.0
+    check = next(c for c in validate_geam(qubit_mub()).checks if c.name.startswith("P >= 0"))
+    assert check.deviation == 0.0 and not np.signbit(check.deviation)
+
+
 def test_validation_flags_corruption(qubit_geam):
     ops = [grp.copy() for grp in qubit_geam.ops]
     ops[0][0] = np.eye(2) / 2  # wrong purity, right trace
