@@ -8,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import as_rng, is_hermitian, max_entangled_projector, \
+from .linalg import as_count, as_rng, is_hermitian, max_entangled_projector, \
     random_rank_k_coefficients
 from .maps import Witness, as_witness
 
@@ -44,6 +44,11 @@ def witness_expectation(witness, rho: np.ndarray) -> float:
     if rho.shape != w.shape:
         raise ValidationError(f"state shape {rho.shape} does not match witness {w.shape}")
     _check_density(rho)
+    return _expectation(w, rho)
+
+
+def _expectation(w: np.ndarray, rho: np.ndarray) -> float:
+    """Tr(W rho) of a checked witness matrix and a checked state of its shape."""
     val = np.trace(w @ rho)
     if abs(val.imag) > 1e-10:
         raise ValidationError(f"expectation has imaginary part {val.imag:.3e}")
@@ -52,9 +57,10 @@ def witness_expectation(witness, rho: np.ndarray) -> float:
 
 @functools.lru_cache(maxsize=8)
 def _isotropic_end_states(d: int) -> tuple:
-    """rho(0) = I/d^2 and rho(1) = |Phi><Phi|, built once per d, read-only."""
+    """rho(0) = I/d^2 and rho(1) = |Phi><Phi|, built and checked once per d, read-only."""
     ends = tuple(IsotropicState(d, p).matrix() for p in (0.0, 1.0))
     for rho in ends:
+        _check_density(rho)
         rho.setflags(write=False)
     return ends
 
@@ -62,7 +68,7 @@ def _isotropic_end_states(d: int) -> tuple:
 def _isotropic_ends(witness) -> tuple[float, float]:
     """f(0), f(1) of the isotropic curve f(p) = Tr(W rho(p)) = (1 - p) f(0) + p f(1)."""
     witness = as_witness(witness)
-    return tuple(witness_expectation(witness, rho) for rho in _isotropic_end_states(witness.d))
+    return tuple(_expectation(witness.w, rho) for rho in _isotropic_end_states(witness.d))
 
 
 def detection_threshold(witness) -> float | None:
@@ -101,7 +107,7 @@ class DetectionRecord(NamedTuple):
 
 def sweep_isotropic(witness: Witness, steps: int = 101) -> list[DetectionRecord]:
     """The isotropic curve on a uniform grid, read off its two end expectations."""
-    witness = as_witness(witness)
+    witness, steps = as_witness(witness), as_count(steps, "steps")
     f0, f1 = _isotropic_ends(witness)
     grid = np.linspace(0.0, 1.0, steps)
     k, l, kk = (witness.meta.get(key, 0) for key in ("k", "l", "kk"))

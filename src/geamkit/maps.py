@@ -22,6 +22,8 @@ from .linalg import as_int, as_rank, as_rng, vec
 HERMITICITY_PRESERVING_TOL = 1e-10
 ROTATION_TOL = 1e-10
 DUAL_ROUTE_TOL = 1e-10
+BLOCK_CACHE_SIZE = 64
+_block_cache = {}
 
 
 def _ones_complement(m: int) -> np.ndarray:
@@ -109,6 +111,39 @@ def phi_zero(d: int) -> Superoperator:
     return Superoperator(matrix=mat, d=d)
 
 
+def _group_blocks(geam: Geam, alpha: int, o) -> tuple:
+    """Read-only (phi_alpha matrix, J_alpha) of one group and a checked rotation.
+
+    Kept in a least-recently-used cache of BLOCK_CACHE_SIZE entries, keyed
+    by the shape and bytes of the group's operators and of the float64
+    rotation, so an array edited in place is looked up afresh. A rotation
+    that fails the check is never stored, so it raises on every call.
+    """
+    grp = geam.ops[alpha]
+    m = len(grp)
+    o = np.ascontiguousarray(o, dtype=float)
+    if o.shape != (m, m):
+        raise ValidationError(f"rotation shape {o.shape} does not match M = {m}")
+    key = (grp.shape, grp.dtype.str, grp.tobytes(), o.tobytes())
+    blocks = _block_cache.pop(key, None)
+    if blocks is None:
+        if not check_rotation(o) <= ROTATION_TOL:
+            raise ValidationError("rotation is not orthogonal or does not fix (1,..,1)")
+        d = geam.d
+        outs = grp.reshape(m, -1)
+        ins = grp.conj().reshape(m, -1)
+        # the two routes contract the rotation on opposite sides
+        phi = np.einsum("kl,kx,ly->xy", o, outs, ins)
+        j = (ins.T @ (o.T @ outs)).reshape(d, d, d, d).transpose(0, 2, 1, 3)
+        blocks = (phi, j.reshape(d * d, d * d))
+        for block in blocks:
+            block.setflags(write=False)
+        if len(_block_cache) >= BLOCK_CACHE_SIZE:
+            del _block_cache[next(iter(_block_cache))]
+    _block_cache[key] = blocks
+    return blocks
+
+
 def phi_alpha(geam: Geam, alpha: int, o: np.ndarray) -> Superoperator:
     """Frame map of one group: X -> sum_{k,l} O_kl P_k Tr(X P_l).
 
@@ -119,18 +154,7 @@ def phi_alpha(geam: Geam, alpha: int, o: np.ndarray) -> Superoperator:
     """
     if not 0 <= alpha < geam.n_groups:
         raise ValidationError(f"group index {alpha} out of range")
-    grp = geam.ops[alpha]
-    m = len(grp)
-    o = np.asarray(o, dtype=float)
-    if o.shape != (m, m):
-        raise ValidationError(f"rotation shape {o.shape} does not match M = {m}")
-    if not check_rotation(o) <= ROTATION_TOL:
-        raise ValidationError("rotation is not orthogonal or does not fix (1,..,1)")
-    d = geam.d
-    outs = grp.reshape(m, -1)
-    ins = grp.conj().reshape(m, -1)
-    mat = np.einsum("kl,kx,ly->xy", o, outs, ins)
-    return Superoperator(matrix=mat, d=d)
+    return Superoperator(matrix=_group_blocks(geam, alpha, o)[0].copy(), d=geam.d)
 
 
 def a_coefficient(geam: Geam, k: int, l: int, kk: int) -> float:
@@ -171,9 +195,9 @@ def phi_k(geam: Geam, rotations, k: int, l: int, kk: int) -> Superoperator:
         raise ValidationError(f"need rotations for groups 1..{kk}, got {len(rotations)}")
     total = a_k * phi_zero(geam.d).matrix
     for alpha in range(l, kk):
-        total = total + phi_alpha(geam, alpha, rotations[alpha]).matrix
+        total = total + _group_blocks(geam, alpha, rotations[alpha])[0]
     for alpha in range(l):
-        total = total - phi_alpha(geam, alpha, rotations[alpha]).matrix
+        total = total - _group_blocks(geam, alpha, rotations[alpha])[0]
     return Superoperator(matrix=total, d=geam.d)
 
 
@@ -259,13 +283,7 @@ def frame_witness(geam: Geam, rotations, k: int, l: int, kk: int) -> np.ndarray:
     d = geam.d
     w = a_k / d * np.eye(d * d, dtype=complex)
     for alpha in range(kk):
-        grp = geam.ops[alpha]
-        m, o = len(grp), np.asarray(rotations[alpha])
-        if o.shape != (m, m):
-            raise ValidationError(f"rotation shape {o.shape} does not match M = {m}")
-        r = o.T @ grp.reshape(m, -1)
-        j = (grp.conj().reshape(m, -1).T @ r).reshape(d, d, d, d)
-        j = j.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+        j = _group_blocks(geam, alpha, rotations[alpha])[1]
         w = w - j if alpha < l else w + j
     return w
 

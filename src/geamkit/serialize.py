@@ -55,7 +55,10 @@ def write_json(doc: dict, path, *, timestamp: bool = True):
     if timestamp:
         doc["created"] = _timestamp()
     # encoded before the file is opened, so a failed encode leaves no file
-    text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=1, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from None
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 

@@ -91,6 +91,27 @@ def test_isotropic_end_states_are_cached_and_read_only():
                 rho[0, 0] = 0.5
 
 
+def test_isotropic_end_states_are_checked_once_per_d(qubit_geam, monkeypatch):
+    checked = []
+    original = geamkit.detect._check_density
+
+    def counted(rho):
+        checked.append(rho.shape)
+        return original(rho)
+
+    monkeypatch.setattr(geamkit.detect, "_check_density", counted)
+    geamkit.detect._isotropic_end_states.cache_clear()
+    w = build_witness(qubit_geam, rotation_set(qubit_geam, 1), 1, 1, 3)
+    for _ in range(3):
+        detection_threshold(w)
+        sweep_isotropic(w, steps=11)
+    assert checked == [(4, 4), (4, 4)]
+    # a state passed in by the caller is still checked on every call
+    witness_expectation(w, np.eye(4) / 4)
+    witness_expectation(w, np.eye(4) / 4)
+    assert len(checked) == 4
+
+
 def test_expectation_affine_in_mixing_parameter(tight_qubit_witness):
     f = lambda p: witness_expectation(tight_qubit_witness,
                                       IsotropicState(2, p).matrix())
@@ -158,6 +179,9 @@ def test_sweep_records(tight_qubit_witness):
     p_star = detection_threshold(tight_qubit_witness)
     for r in records:
         assert r.detected == (r.parameter > p_star)
+    for steps in (0, True, 2.5, -3):
+        with pytest.raises(ValidationError, match="steps"):
+            sweep_isotropic(tight_qubit_witness, steps=steps)
 
 
 def test_sweep_accepts_a_bare_matrix(tight_qubit_witness):
@@ -167,15 +191,15 @@ def test_sweep_accepts_a_bare_matrix(tight_qubit_witness):
 
 @pytest.fixture()
 def expectation_calls(monkeypatch):
-    """Count witness_expectation calls made inside geamkit.detect."""
+    """Count Tr(W rho) evaluations made inside geamkit.detect."""
     calls = []
-    original = geamkit.detect.witness_expectation
+    original = geamkit.detect._expectation
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(geamkit.detect, "witness_expectation", counted)
+    monkeypatch.setattr(geamkit.detect, "_expectation", counted)
     return calls
 
 

@@ -6,8 +6,8 @@ import pytest
 import geamkit.maps
 from geamkit import (ValidationError, a_coefficient, build_witness, check_rotation,
                      choi_matrix, choi_witness, frame_witness, haar_unitary,
-                     phi_alpha, phi_k, phi_zero, qubit_two_group, random_rotation,
-                     rotation_set, superop_from_choi)
+                     phi_alpha, phi_k, phi_zero, qubit_two_group, qutrit_mub,
+                     random_rotation, rotation_set, superop_from_choi)
 from geamkit.linalg import min_eigenvalue, random_operator
 from geamkit.maps import Superoperator, Witness, _ones_complement
 
@@ -386,6 +386,8 @@ def test_frame_witness_rejects_bad_rotations(qubit_geam):
         frame_witness(qubit_geam, [I2, SWAP], 1, 1, 3)
     with pytest.raises(ValidationError, match="rotation shape"):
         frame_witness(qubit_geam, [I2, np.eye(3), SWAP], 1, 1, 3)
+    with pytest.raises(ValidationError, match="rotation is not orthogonal"):
+        frame_witness(qubit_geam, [I2, np.array([[1.0, 0.1], [0.0, 1.0]]), SWAP], 1, 1, 3)
 
 
 def test_choi_witness_guard_reports_the_witness_check():
@@ -410,6 +412,78 @@ def test_build_witness_rejects_disagreeing_routes(qubit_geam, monkeypatch):
     monkeypatch.setattr(geamkit.maps, "frame_witness", shifted)
     with pytest.raises(ValidationError, match="routes disagree"):
         build_witness(qubit_geam, rotation_set(qubit_geam, 0), 1, 1, 3)
+
+
+# ------------------------------------------------------------ group block cache
+
+def _cold_build(geam, rotations, k, l, kk):
+    geamkit.maps._block_cache.clear()
+    return build_witness(geam, rotations, k, l, kk)
+
+
+def test_warm_builds_equal_cold_builds(all_fixture_geams):
+    for name, geam in all_fixture_geams.items():
+        d, n = geam.d, geam.n_groups
+        for seed in range(3):
+            rots = rotation_set(geam, seed)
+            for k in range(1, d + 1):
+                for kk in range(1, n + 1):
+                    for l in range(1, kk + 1):
+                        cold = _cold_build(geam, rots, k, l, kk)
+                        warm = build_witness(geam, rots, k, l, kk)
+                        assert warm.w.tobytes() == cold.w.tobytes(), (name, seed, k, l, kk)
+                        assert warm.meta == cold.meta
+
+
+def test_in_place_edits_reach_the_next_build():
+    geam = qutrit_mub()  # a copy of its own: its operators are edited below
+    rots = [o.copy() for o in rotation_set(geam, 0)]
+    first = build_witness(geam, rots, 1, 1, 4).w.tobytes()
+    rots[1][...] = rotation_set(geam, 1)[1]
+    edited = build_witness(geam, rots, 1, 1, 4).w.tobytes()
+    assert edited != first
+    assert edited == _cold_build(geam, rots, 1, 1, 4).w.tobytes()
+    grp = geam.ops[2]
+    grp[...] = grp[::-1].copy()  # the same frame, its elements in reverse order
+    reordered = build_witness(geam, rots, 1, 1, 4).w.tobytes()
+    assert reordered != edited
+    assert reordered == _cold_build(geam, rots, 1, 1, 4).w.tobytes()
+
+
+def test_rejected_rotation_raises_on_every_call(qubit_geam):
+    shear = np.array([[1.0, 0.1], [0.0, 1.0]])
+    o = SWAP.copy()
+    build_witness(qubit_geam, [I2, o, I2], 1, 1, 3)
+    o[...] = shear  # the group's valid blocks are cached, the edited rotation is not
+    for _ in range(2):
+        for call in (lambda: build_witness(qubit_geam, [I2, o, I2], 1, 1, 3),
+                     lambda: frame_witness(qubit_geam, [I2, o, I2], 1, 1, 3),
+                     lambda: phi_k(qubit_geam, [I2, o, I2], 1, 1, 3),
+                     lambda: phi_alpha(qubit_geam, 1, o)):
+            with pytest.raises(ValidationError, match="rotation is not orthogonal"):
+                call()
+
+
+def test_returned_arrays_are_writable_and_not_shared(qubit_geam):
+    rots = rotation_set(qubit_geam, 0)
+    reference = _cold_build(qubit_geam, rots, 1, 1, 3).w.tobytes()
+    for out in (phi_alpha(qubit_geam, 0, rots[0]).matrix,
+                phi_k(qubit_geam, rots, 1, 1, 3).matrix,
+                phi_k(qubit_geam, rots, 1, 1, 1).matrix,
+                frame_witness(qubit_geam, rots, 1, 1, 3),
+                build_witness(qubit_geam, rots, 1, 1, 3).w):
+        assert out.flags.writeable
+        out[...] = np.nan
+    assert build_witness(qubit_geam, rots, 1, 1, 3).w.tobytes() == reference
+    blocks = list(geamkit.maps._block_cache.values())
+    assert blocks and not any(b.flags.writeable for pair in blocks for b in pair)
+
+
+def test_block_cache_is_bounded(qutrit_geam):
+    size = geamkit.maps.BLOCK_CACHE_SIZE
+    for seed in range(size // qutrit_geam.n_groups + 2):
+        build_witness(qutrit_geam, rotation_set(qutrit_geam, seed), 1, 1, 4)
+    assert len(geamkit.maps._block_cache) == size
 
 
 @pytest.mark.parametrize("meta", [{"k": 0}, {"k": 3}, {"l": 0}, {"kk": 0},

@@ -59,6 +59,10 @@ def test_unencodable_document_leaves_no_file(tmp_path):
     with pytest.raises(TypeError):
         write_json({"format": "nonsense/9", "value": object()}, path)
     assert not path.exists()
+    for value in (float("nan"), float("inf"), -np.inf, [1.0, np.nan]):
+        with pytest.raises(ValidationError, match="not JSON compliant"):
+            write_json({"format": "nonsense/9", "value": value}, path)
+        assert not path.exists()
 
 
 def test_load_rejects_wrong_format(tmp_path):
