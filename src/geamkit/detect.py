@@ -3,12 +3,13 @@ k-positive witness certifies Schmidt number greater than k."""
 
 import functools
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import as_count, as_rng, is_hermitian, max_entangled_projector, \
+from .linalg import as_count, as_real, as_rng, is_hermitian, max_entangled_projector, \
     random_rank_k_coefficients
 from .maps import Witness, as_witness
 
@@ -17,10 +18,16 @@ DETECTION_TOL = 1e-10
 
 @dataclass(frozen=True)
 class IsotropicState:
-    """Mixture p * P_max_entangled + (1 - p) * I/d^2 on C^d (x) C^d."""
+    """Mixture p * P_max_entangled + (1 - p) * I/d^2 on C^d (x) C^d, 0 <= p <= 1."""
 
     d: int
     p: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "d", as_count(self.d, "d"))
+        object.__setattr__(self, "p", as_real(self.p, "p"))
+        if not 0.0 <= self.p <= 1.0:
+            raise ValidationError(f"need 0 <= p <= 1, got p={self.p}")
 
     def matrix(self) -> np.ndarray:
         d = self.d
@@ -44,31 +51,32 @@ def witness_expectation(witness, rho: np.ndarray) -> float:
     if rho.shape != w.shape:
         raise ValidationError(f"state shape {rho.shape} does not match witness {w.shape}")
     _check_density(rho)
-    return _expectation(w, rho)
+    return _expectations(w, rho[None])[0]
 
 
-def _expectation(w: np.ndarray, rho: np.ndarray) -> float:
-    """Tr(W rho) of a checked witness matrix and a checked state of its shape."""
-    val = np.trace(w @ rho)
-    if abs(val.imag) > 1e-10:
-        raise ValidationError(f"expectation has imaginary part {val.imag:.3e}")
-    return float(val.real)
+def _expectations(w: np.ndarray, rhos: np.ndarray) -> list[float]:
+    """Tr(W rho) of a checked witness matrix for each checked state of a stack."""
+    vals = (w @ rhos).trace(axis1=1, axis2=2).tolist()
+    imag = max(abs(val.imag) for val in vals)
+    if imag > 1e-10:
+        raise ValidationError(f"expectation has imaginary part {imag:.3e}")
+    return [val.real for val in vals]
 
 
 @functools.lru_cache(maxsize=8)
-def _isotropic_end_states(d: int) -> tuple:
-    """rho(0) = I/d^2 and rho(1) = |Phi><Phi|, built and checked once per d, read-only."""
-    ends = tuple(IsotropicState(d, p).matrix() for p in (0.0, 1.0))
+def _isotropic_end_states(d: int) -> np.ndarray:
+    """Read-only stack of rho(0) = I/d^2 and rho(1) = |Phi><Phi|, checked once per d."""
+    ends = np.stack([IsotropicState(d, p).matrix() for p in (0.0, 1.0)])
     for rho in ends:
         _check_density(rho)
-        rho.setflags(write=False)
+    ends.setflags(write=False)
     return ends
 
 
-def _isotropic_ends(witness) -> tuple[float, float]:
+def _isotropic_ends(witness) -> list[float]:
     """f(0), f(1) of the isotropic curve f(p) = Tr(W rho(p)) = (1 - p) f(0) + p f(1)."""
     witness = as_witness(witness)
-    return tuple(_expectation(witness.w, rho) for rho in _isotropic_end_states(witness.d))
+    return _expectations(witness.w, _isotropic_end_states(witness.d))
 
 
 def detection_threshold(witness) -> float | None:
@@ -105,11 +113,20 @@ class DetectionRecord(NamedTuple):
     detected: bool
 
 
+@functools.lru_cache(maxsize=8)
+def _sweep_grid(steps: int) -> tuple:
+    """Read-only uniform grid on [0, 1], and its points as Python floats."""
+    grid = np.linspace(0.0, 1.0, steps)
+    grid.setflags(write=False)
+    return grid, tuple(grid.tolist())
+
+
 def sweep_isotropic(witness: Witness, steps: int = 101) -> list[DetectionRecord]:
-    """The isotropic curve on a uniform grid, read off its two end expectations."""
+    """The isotropic curve on a uniform grid from its two end expectations, as C-built records."""
     witness, steps = as_witness(witness), as_count(steps, "steps")
     f0, f1 = _isotropic_ends(witness)
-    grid = np.linspace(0.0, 1.0, steps)
-    k, l, kk = (witness.meta.get(key, 0) for key in ("k", "l", "kk"))
-    return [DetectionRecord("isotropic", p, k, l, kk, val, val < -DETECTION_TOL)
-            for p, val in zip(grid.tolist(), ((1.0 - grid) * f0 + grid * f1).tolist())]
+    grid, params = _sweep_grid(steps)
+    vals = ((1.0 - grid) * f0 + grid * f1).tolist()
+    meta = (repeat(witness.meta.get(key, 0)) for key in ("k", "l", "kk"))
+    fields = zip(repeat("isotropic"), params, *meta, vals, map((-DETECTION_TOL).__gt__, vals))
+    return list(map(tuple.__new__, repeat(DetectionRecord), fields))

@@ -9,6 +9,7 @@ combinations of these that are k-positive for a suitable scalar weight
 on the depolarizing part.
 """
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .geam import Geam, common_s
-from .linalg import as_int, as_rank, as_rng, vec
+from .linalg import as_count, as_int, as_rank, as_rng, vec
 
 HERMITICITY_PRESERVING_TOL = 1e-10
 ROTATION_TOL = 1e-10
@@ -51,6 +52,7 @@ def random_rotation(m: int, seed) -> np.ndarray:
     reachable. For m = 2 the only two solutions are the identity and the
     swap, and a seeded draw returns one of them. Deterministic per seed.
     """
+    m = as_int(m, "rotation size")
     if m < 2:
         raise ValidationError(f"rotation size must be >= 2, got {m}")
     rng = as_rng(seed)
@@ -103,12 +105,20 @@ class Superoperator:
         return out.reshape(*lead, d, d, d, d).swapaxes(-3, -2).reshape(r.shape)
 
 
+@functools.lru_cache(maxsize=8)
+def _depolarizing_matrix(d: int) -> np.ndarray:
+    """Read-only matrix of X -> Tr(X) I/d, built once per d."""
+    mat = np.outer(vec(np.eye(d) / d), vec(np.eye(d))).astype(complex)
+    mat.setflags(write=False)
+    return mat
+
+
 def phi_zero(d: int) -> Superoperator:
     """Completely depolarizing map X -> Tr(X) I/d."""
+    d = as_int(d, "dimension")
     if d < 2:
         raise ValidationError(f"dimension must be >= 2, got {d}")
-    mat = np.outer(vec(np.eye(d) / d), vec(np.eye(d))).astype(complex)
-    return Superoperator(matrix=mat, d=d)
+    return Superoperator(matrix=_depolarizing_matrix(d).copy(), d=d)
 
 
 def _group_blocks(geam: Geam, alpha: int, o) -> tuple:
@@ -152,7 +162,7 @@ def phi_alpha(geam: Geam, alpha: int, o: np.ndarray) -> Superoperator:
     Tr(map[X]) = a_alpha gamma_alpha Tr(X) and map[I] = a gamma I.
     The identity rotation yields a measure-and-prepare map.
     """
-    if not 0 <= alpha < geam.n_groups:
+    if not 0 <= as_int(alpha, "group index") < geam.n_groups:
         raise ValidationError(f"group index {alpha} out of range")
     return Superoperator(matrix=_group_blocks(geam, alpha, o)[0].copy(), d=geam.d)
 
@@ -188,17 +198,25 @@ def a_coefficient(geam: Geam, k: int, l: int, kk: int) -> float:
     return float(-d * (mu_k - 2 * mu_l) + (k * d - 1) * s)
 
 
-def phi_k(geam: Geam, rotations, k: int, l: int, kk: int) -> Superoperator:
-    """Signed combination A Phi_0 + sum_{L<alpha<=K} Phi_alpha - sum_{alpha<=L} Phi_alpha."""
+def _route_sums(geam: Geam, rotations, k: int, l: int, kk: int) -> tuple:
+    """(a_k, superoperator sum of phi_k, frame sum of frame_witness), reading a_k
+    and each group's blocks once and summing each route in its own order."""
     a_k = a_coefficient(geam, k, l, kk)
     if len(rotations) < kk:
         raise ValidationError(f"need rotations for groups 1..{kk}, got {len(rotations)}")
-    total = a_k * phi_zero(geam.d).matrix
-    for alpha in range(l, kk):
-        total = total + _group_blocks(geam, alpha, rotations[alpha])[0]
-    for alpha in range(l):
-        total = total - _group_blocks(geam, alpha, rotations[alpha])[0]
-    return Superoperator(matrix=total, d=geam.d)
+    d, blocks = geam.d, [_group_blocks(geam, alpha, rotations[alpha]) for alpha in range(kk)]
+    phi = sum((phi_a for phi_a, _ in blocks[l:]), a_k * _depolarizing_matrix(d))
+    for phi_a, _ in blocks[:l]:
+        phi = phi - phi_a
+    frame = a_k / d * np.eye(d * d, dtype=complex)
+    for alpha, (_, j) in enumerate(blocks):
+        frame = frame - j if alpha < l else frame + j
+    return a_k, phi, frame
+
+
+def phi_k(geam: Geam, rotations, k: int, l: int, kk: int) -> Superoperator:
+    """Signed combination A Phi_0 + sum_{L<alpha<=K} Phi_alpha - sum_{alpha<=L} Phi_alpha."""
+    return Superoperator(matrix=_route_sums(geam, rotations, k, l, kk)[1], d=geam.d)
 
 
 @dataclass(frozen=True)
@@ -253,7 +271,10 @@ def choi_matrix(phi: Superoperator) -> np.ndarray:
 
 def superop_from_choi(w: np.ndarray, d: int) -> Superoperator:
     """Inverse of choi_matrix."""
-    w4 = np.asarray(w).reshape(d, d, d, d)
+    d, w = as_count(d, "d"), np.asarray(w)
+    if w.shape != (d * d, d * d):
+        raise ValidationError(f"Choi matrix shape {w.shape} does not match d = {d}")
+    w4 = w.reshape(d, d, d, d)
     return Superoperator(
         matrix=np.ascontiguousarray(w4.transpose(1, 3, 0, 2).reshape(d * d, d * d)),
         d=d,
@@ -277,15 +298,7 @@ def frame_witness(geam: Geam, rotations, k: int, l: int, kk: int) -> np.ndarray:
     rotation with the output operators P_k first, so it shares no
     intermediate with phi_alpha.
     """
-    a_k = a_coefficient(geam, k, l, kk)
-    if len(rotations) < kk:
-        raise ValidationError(f"need rotations for groups 1..{kk}, got {len(rotations)}")
-    d = geam.d
-    w = a_k / d * np.eye(d * d, dtype=complex)
-    for alpha in range(kk):
-        j = _group_blocks(geam, alpha, rotations[alpha])[1]
-        w = w - j if alpha < l else w + j
-    return w
+    return _route_sums(geam, rotations, k, l, kk)[2]
 
 
 def rotation_fingerprint(rotations) -> str:
@@ -304,11 +317,12 @@ def build_witness(geam: Geam, rotations, k: int, l: int, kk: int, *,
     1e-10; the returned matrix is the Choi route. Metadata records the
     closed-form depolarizing weight and fingerprints of the ingredients.
     """
+    a_k, phi, frame = _route_sums(geam, rotations, k, l, kk)
     meta = {
         "k": k,
         "l": l,
         "kk": kk,
-        "a_k": a_coefficient(geam, k, l, kk),
+        "a_k": a_k,
         "rotation_fingerprint": rotation_fingerprint(rotations),
     }
     if geam_fingerprint is not None:
@@ -316,8 +330,8 @@ def build_witness(geam: Geam, rotations, k: int, l: int, kk: int, *,
     if rotation_seed is not None:
         seed = rotation_seed
         meta["rotation_seed"] = int(seed) if isinstance(seed, np.integer) else seed
-    witness = choi_witness(phi_k(geam, rotations, k, l, kk), meta)
-    gap = np.abs(witness.w - frame_witness(geam, rotations, k, l, kk)).max()
+    witness = choi_witness(Superoperator(matrix=phi, d=geam.d), meta)
+    gap = np.abs(witness.w - frame).max()
     if gap > DUAL_ROUTE_TOL:
         raise ValidationError(
             f"witness construction routes disagree by {gap:.3e}; "

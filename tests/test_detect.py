@@ -10,7 +10,7 @@ from geamkit import (IsotropicState, ValidationError, build_witness,
                      rotation_set,
                      sweep_isotropic, witness_expectation)
 from geamkit.certify import VERDICT_CERTIFIED
-from geamkit.detect import DETECTION_TOL
+from geamkit.detect import DETECTION_TOL, DetectionRecord
 from geamkit.maps import Witness
 from geamkit.serialize import write_detection_csv
 
@@ -85,10 +85,49 @@ def test_isotropic_end_states_are_cached_and_read_only():
     for d in (2, 3, 4):
         ends = geamkit.detect._isotropic_end_states(d)
         assert ends is geamkit.detect._isotropic_end_states(d)
+        assert ends.shape == (2, d * d, d * d) and not ends.flags.writeable
         for p, rho in zip((0.0, 1.0), ends):
             assert np.array_equal(rho, IsotropicState(d, p).matrix())
             with pytest.raises(ValueError):
                 rho[0, 0] = 0.5
+
+
+def test_stacked_ends_equal_per_state_expectations(all_fixture_geams):
+    """Both ends from one stacked product equal Tr(W rho) of each end state, bit for bit."""
+    for name, geam in all_fixture_geams.items():
+        d, n = geam.d, geam.n_groups
+        states = [IsotropicState(d, p).matrix() for p in (0.0, 1.0)]
+        for seed in range(3):
+            rots = rotation_set(geam, seed)
+            for k, kk in ((k, kk) for k in range(1, d + 1) for kk in range(1, n + 1)):
+                for l in range(1, kk + 1):
+                    w = build_witness(geam, rots, k, l, kk)
+                    ends = geamkit.detect._isotropic_ends(w)
+                    reference = [float(np.trace(w.w @ rho).real) for rho in states]
+                    assert ends == reference, (name, seed, k, l, kk)
+                    assert ends == [witness_expectation(w, rho) for rho in states]
+                    assert all(type(f) is float for f in ends)
+    # f(1) of this qubit witness is rounding noise below 0, so its threshold reads 1.0
+    # (the known fault of the isotropic threshold); the stacked ends keep it
+    qubit = all_fixture_geams["qubit_mub"]
+    w = build_witness(qubit, rotation_set(qubit, 0), 1, 1, 3)
+    assert 0 > geamkit.detect._isotropic_ends(w)[1] > -1e-15
+    assert detection_threshold(w) == 1.0
+
+
+def test_isotropic_state_validated():
+    for d, p in ((2, 1.5), (2, -0.1), (3, float("nan")), (2, 1 + 1e-12)):
+        with pytest.raises(ValidationError, match="need 0 <= p <= 1"):
+            IsotropicState(d, p)
+    for d, p in ((2, True), (2, "0.5"), (2, None)):
+        with pytest.raises(ValidationError, match="p must be a real number"):
+            IsotropicState(d, p)
+    for d in (2.5, True, 0, -2):
+        with pytest.raises(ValidationError):
+            IsotropicState(d, 0.5)
+    state = IsotropicState(np.int64(2), np.float32(0.25))
+    assert type(state.d) is int and type(state.p) is float
+    assert np.array_equal(state.matrix(), IsotropicState(2, 0.25).matrix())
 
 
 def test_isotropic_end_states_are_checked_once_per_d(qubit_geam, monkeypatch):
@@ -191,15 +230,15 @@ def test_sweep_accepts_a_bare_matrix(tight_qubit_witness):
 
 @pytest.fixture()
 def expectation_calls(monkeypatch):
-    """Count Tr(W rho) evaluations made inside geamkit.detect."""
+    """Count Tr(W rho) evaluations made inside geamkit.detect, one entry per state."""
     calls = []
-    original = geamkit.detect._expectation
+    original = geamkit.detect._expectations
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(w, rhos):
+        calls.extend([1] * len(rhos))
+        return original(w, rhos)
 
-    monkeypatch.setattr(geamkit.detect, "_expectation", counted)
+    monkeypatch.setattr(geamkit.detect, "_expectations", counted)
     return calls
 
 
@@ -262,9 +301,11 @@ def test_sweep_matches_per_point_reference(qubit_geam, qutrit_geam, tmp_path):
                         for r, ref in zip(records, reference):
                             for name in r._fields:
                                 assert getattr(r, name) == getattr(ref, name), (name, r)
+                            assert type(r) is DetectionRecord
                             assert type(r.detected) is bool
                             assert type(r.parameter) is float
                             assert type(r.expectation) is float
+                            assert type(r.k) is type(r.l) is type(r.kk) is int
                     write_detection_csv(records, tmp_path / "change.csv")
                     write_detection_csv(reference, tmp_path / "reference.csv")
                     assert ((tmp_path / "change.csv").read_bytes()

@@ -47,6 +47,16 @@ def test_rotation_seeds_differ_and_repeat():
     assert np.array_equal(a0, random_rotation(3, 0))
 
 
+def test_rotation_rejects_bad_size():
+    for m in (2.5, True, 3.0, "3"):
+        with pytest.raises(ValidationError, match="rotation size must be an integer"):
+            random_rotation(m, 0)
+    for m in (1, 0, -3):
+        with pytest.raises(ValidationError, match="rotation size must be >= 2"):
+            random_rotation(m, 0)
+    assert np.array_equal(random_rotation(np.int64(3), 0), random_rotation(3, 0))
+
+
 def test_rotation_reaches_both_orthogonal_components():
     dets = {round(np.linalg.det(random_rotation(3, s))) for s in range(30)}
     assert dets == {-1, 1}
@@ -89,6 +99,16 @@ def test_phi_zero_behavior():
     assert_close(choi_matrix(phi), np.eye(4) / 2, 1e-15, "choi of depolarizing")
 
 
+def test_phi_zero_rejects_bad_dimension():
+    for d in (2.5, True, 2.0, "2"):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            phi_zero(d)
+    for d in (1, 0, -2):
+        with pytest.raises(ValidationError, match="dimension must be >= 2"):
+            phi_zero(d)
+    assert phi_zero(np.int64(2)).d == 2
+
+
 # ------------------------------------------------------------------ frame maps
 
 def test_phi_alpha_identity_rotation_is_completely_positive(qubit_geam):
@@ -129,6 +149,17 @@ def test_phi_alpha_rejects_bad_rotation(qubit_geam):
         phi_alpha(qubit_geam, 0, np.eye(3))
     with pytest.raises(ValidationError):
         phi_alpha(qubit_geam, 0, np.array([[1.0, 0.1], [0.0, 1.0]]))
+
+
+def test_phi_alpha_rejects_non_integer_group(qubit_geam):
+    for alpha in (True, 1.0, 0.5, "1"):
+        with pytest.raises(ValidationError, match="group index must be an integer"):
+            phi_alpha(qubit_geam, alpha, I2)
+    for alpha in (-1, 3):
+        with pytest.raises(ValidationError, match="out of range"):
+            phi_alpha(qubit_geam, alpha, I2)
+    assert np.array_equal(phi_alpha(qubit_geam, np.int64(1), I2).matrix,
+                          phi_alpha(qubit_geam, 1, I2).matrix)
 
 
 def test_phi_alpha_rejects_nan_rotation(qubit_geam):
@@ -337,6 +368,15 @@ def test_choi_reshuffle_round_trip():
         assert np.abs(back.matrix - mat).max() < 1e-15
 
 
+def test_superop_from_choi_rejects_mismatched_shape():
+    for w, d in ((np.eye(4), 3), (np.eye(9), 2), (np.eye(8), 2), (np.ones(16), 2)):
+        with pytest.raises(ValidationError, match="does not match d"):
+            superop_from_choi(w, d)
+    for d in (2.0, True, 0, -1):
+        with pytest.raises(ValidationError):
+            superop_from_choi(np.eye(4), d)
+
+
 def test_choi_witness_hermiticity_guard():
     mat = np.zeros((4, 4), dtype=complex)
     mat[0, 1] = 1.0  # maps |0><1| to |0><0|: not Hermiticity-preserving
@@ -402,16 +442,34 @@ def test_choi_witness_guard_reports_the_witness_check():
 
 
 def test_build_witness_rejects_disagreeing_routes(qubit_geam, monkeypatch):
-    original = geamkit.maps.frame_witness
+    original = geamkit.maps._route_sums
 
     def shifted(*args):
-        w = original(*args)
-        w[0, 0] += 1e-9
-        return w
+        a_k, phi, frame = original(*args)
+        frame[0, 0] += 1e-9
+        return a_k, phi, frame
 
-    monkeypatch.setattr(geamkit.maps, "frame_witness", shifted)
+    monkeypatch.setattr(geamkit.maps, "_route_sums", shifted)
     with pytest.raises(ValidationError, match="routes disagree"):
         build_witness(qubit_geam, rotation_set(qubit_geam, 0), 1, 1, 3)
+
+
+def test_build_witness_reads_each_group_once(all_fixture_geams, monkeypatch):
+    calls = []
+    original = geamkit.maps._group_blocks
+
+    def counted(geam, alpha, o):
+        calls.append(alpha)
+        return original(geam, alpha, o)
+
+    monkeypatch.setattr(geamkit.maps, "_group_blocks", counted)
+    for geam in all_fixture_geams.values():
+        rots = rotation_set(geam, 0)
+        for kk in range(1, geam.n_groups + 1):
+            for l in range(1, kk + 1):
+                calls.clear()
+                build_witness(geam, rots, 1, l, kk)
+                assert calls == list(range(kk)), (l, kk)
 
 
 # ------------------------------------------------------------ group block cache
@@ -467,7 +525,7 @@ def test_rejected_rotation_raises_on_every_call(qubit_geam):
 def test_returned_arrays_are_writable_and_not_shared(qubit_geam):
     rots = rotation_set(qubit_geam, 0)
     reference = _cold_build(qubit_geam, rots, 1, 1, 3).w.tobytes()
-    for out in (phi_alpha(qubit_geam, 0, rots[0]).matrix,
+    for out in (phi_zero(2).matrix, phi_alpha(qubit_geam, 0, rots[0]).matrix,
                 phi_k(qubit_geam, rots, 1, 1, 3).matrix,
                 phi_k(qubit_geam, rots, 1, 1, 1).matrix,
                 frame_witness(qubit_geam, rots, 1, 1, 3),
@@ -477,6 +535,7 @@ def test_returned_arrays_are_writable_and_not_shared(qubit_geam):
     assert build_witness(qubit_geam, rots, 1, 1, 3).w.tobytes() == reference
     blocks = list(geamkit.maps._block_cache.values())
     assert blocks and not any(b.flags.writeable for pair in blocks for b in pair)
+    assert not geamkit.maps._depolarizing_matrix(2).flags.writeable
 
 
 def test_block_cache_is_bounded(qutrit_geam):
