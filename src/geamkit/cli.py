@@ -78,9 +78,9 @@ def cmd_build_geam(args) -> int:
 
 def cmd_analyze(args) -> int:
     geam = load_geam(args.geam)
-    sections = analyze_geam(geam, args.seed, args.samples)
+    sections = analyze_geam(geam)
     doc = {"format": ANALYSIS_FORMAT, "input_fingerprint": fingerprint(read_json(args.geam)),
-           "seed": args.seed, "samples": args.samples, **sections}
+           **sections}
     write_json(doc, args.out, timestamp=not args.no_timestamp)
     print(f"validation {'passed' if sections['validation']['passed'] else 'FAILED'}; "
           f"equidistant={sections['equidistance']['equidistant']}; wrote {args.out}")
@@ -152,8 +152,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="equidistance, 2-design, coincidence checks")
     p.add_argument("--geam", required=True)
-    p.add_argument("--seed", type=_int_at_least(0), required=True)
-    p.add_argument("--samples", type=_int_at_least(1), default=200)
+    p.add_argument("--seed", type=_int_at_least(0), required=True,
+                   help="unused: the analysis is exact; accepted so that existing "
+                        "invocations keep working")
+    p.add_argument("--samples", type=_int_at_least(1), default=200, help="unused, as --seed")
     p.add_argument("--out", required=True)
     p.add_argument("--no-timestamp", action="store_true")
     p.set_defaults(func=cmd_analyze)

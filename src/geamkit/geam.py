@@ -14,8 +14,7 @@ import numpy as np
 
 from .basis import HermitianBasis, frame_operators
 from .errors import PositivityError, ValidationError
-from .linalg import (as_int, as_real, flip_operator, random_density_matrix,
-                     random_trace_one_operator)
+from .linalg import as_int, as_real, flip_operator
 
 PSD_TOL = 1e-10
 TRACE_COND_TOL = 1e-9
@@ -383,12 +382,17 @@ def coincidence_bound(geam: Geam, x: np.ndarray, l: int):
     return s * (hs_norm - 1.0 / geam.d) + geam.derived.mu(l)
 
 
-def analyze_geam(geam: Geam, seed, samples: int) -> dict:
+def analyze_geam(geam: Geam) -> dict:
     """The analysis sections: validation, equidistance and, for an
     equidistant GEAM, conical_design and coincidence. A section with a
-    "passed" key is a verdict. The coincidence checks draw `samples`
-    density matrices, then `samples` unit-trace operators, from
-    default_rng(seed), and evaluate each check over the whole stack."""
+    "passed" key is a verdict.
+
+    The coincidence section is exact and draws nothing. For x the vectorized
+    X, the partial index is x^dag F_l x, F_l = sum over the first l groups of
+    |P^T>><<P^T|, and the bound is x^dag D_l x, D_l = S 1 + (mu_l - S/d) |I>><<I|.
+    So the bound holds for every unit-trace X iff the margin lambda_min(D_l - F_l)
+    is >= 0, and is an equality at l = N iff F_N = D_N, the conical design. No
+    tight-frame cancellation is assumed, so a broken frame shows in the margins."""
     report = validate_geam(geam)
     eq = equidistance(geam)
     doc = {
@@ -403,20 +407,13 @@ def analyze_geam(geam: Geam, seed, samples: int) -> dict:
         return doc
     design = conical_design_check(geam)
     doc["conical_design"] = {**asdict(design), "passed": design.residual <= 1e-9}
-    rng = np.random.default_rng(seed)
-    d, n = geam.d, geam.n_groups
-    rho = np.array([random_density_matrix(d, rng, rank=1 if i % 2 else None)
-                    for i in range(samples)]).reshape(samples, d, d)
-    x = np.array([random_trace_one_operator(d, rng) for _ in range(samples)]).reshape(rho.shape)
-    resid = np.abs(coincidence_bound(geam, rho, n) - coincidence_index(geam, rho, n))
-    slack = np.array([coincidence_bound(geam, x, l) - coincidence_index(geam, x, l)
-                      for l in range(1, n + 1)])
-    purity_resid, worst_slack = resid.max(initial=0.0), slack.min(initial=np.inf)
-    gap_n = np.abs(slack[-1]).max(initial=0.0)
-    doc["coincidence"] = {
-        "purity_relation_residual": float(purity_resid),
-        "worst_bound_slack": float(worst_slack),
-        "max_gap_at_full_range": float(gap_n),
-        "passed": bool(purity_resid <= 1e-9 and worst_slack >= -1e-9 and gap_n <= 1e-10),
-    }
+    d, s, eye = geam.d, geam.derived.s, np.eye(geam.d).reshape(-1)
+    rows = (grp.transpose(0, 2, 1).reshape(len(grp), -1) for grp in geam.ops)
+    frames = np.stack([r.conj().T @ r for r in rows]).cumsum(axis=0)
+    mu = np.array([geam.derived.mu(l) for l in range(1, geam.n_groups + 1)])
+    bounds = s * np.eye(d * d) + (mu - s / d)[:, None, None] * np.outer(eye, eye)
+    margins = np.linalg.eigvalsh(bounds - frames)[:, 0]
+    resid = float(np.abs(frames[-1] - bounds[-1]).max())
+    doc["coincidence"] = {"margins": margins.tolist(), "full_range_residual": resid,
+                          "passed": bool(margins.min() >= -1e-9 and resid <= 1e-10)}
     return doc

@@ -223,7 +223,8 @@ def phi_k(geam: Geam, rotations, k: int, l: int, kk: int) -> Superoperator:
 class Witness:
     """Choi matrix plus construction metadata; the one check of a witness: a finite,
     Hermitian d^2 x d^2 matrix (HERMITICITY_PRESERVING_TOL) and integer meta k, l, kk
-    with, where present, 1 <= k <= d and 1 <= l <= kk. The meta is stored as a copy
+    with, where present, 1 <= k <= d and 1 <= l <= kk. Stored are the Hermitian part
+    (w + w^dag)/2, bit for bit w when w is exactly Hermitian, and a copy of the meta
     with k, l and kk as Python ints."""
 
     w: np.ndarray
@@ -231,7 +232,6 @@ class Witness:
 
     def __post_init__(self):
         w = np.asarray(self.w)
-        object.__setattr__(self, "w", w)
         n = w.shape[0] if w.ndim == 2 else 0
         if w.shape != (n, n) or n == 0 or math.isqrt(n) ** 2 != n:
             raise ValidationError(f"witness matrix must be d^2 x d^2, got shape {w.shape}")
@@ -240,6 +240,7 @@ class Witness:
         defect = np.abs(w - w.conj().T).max()
         if defect > HERMITICITY_PRESERVING_TOL:
             raise ValidationError(f"witness matrix is not Hermitian (defect {defect:.3e})")
+        object.__setattr__(self, "w", (w + w.conj().T) / 2)
         meta = dict(self.meta)
         for key in ("k", "l", "kk"):
             if key in meta:
@@ -283,10 +284,7 @@ def superop_from_choi(w: np.ndarray, d: int) -> Superoperator:
 
 def choi_witness(phi: Superoperator, meta: dict | None = None) -> Witness:
     """Wrap the Choi matrix of a Hermiticity-preserving map as a witness."""
-    w = choi_matrix(phi)
-    if not np.abs(w - w.conj().T).max() <= HERMITICITY_PRESERVING_TOL:
-        Witness(w=w)  # raises with the witness check's own message
-    return Witness(w=(w + w.conj().T) / 2, meta=meta or {})
+    return Witness(w=choi_matrix(phi), meta=meta or {})
 
 
 def frame_witness(geam: Geam, rotations, k: int, l: int, kk: int) -> np.ndarray:

@@ -21,7 +21,7 @@ from .maps import Witness
 GEAM_FORMAT = "geam/1"
 WITNESS_FORMAT = "witness/1"
 CERTIFICATION_FORMAT = "certification/2"
-ANALYSIS_FORMAT = "analysis/1"
+ANALYSIS_FORMAT = "analysis/2"
 
 DETECTION_COLUMNS = ("family", "parameter", "k", "L", "K", "expectation", "detected")
 

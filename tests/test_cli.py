@@ -95,6 +95,17 @@ def test_analyze(tmp_path, qubit_geam_file):
     assert doc["coincidence"]["passed"]
 
 
+def test_analyze_ignores_seed_and_samples(tmp_path, qubit_geam_file):
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out, seed, samples in zip(outs, (7, 11), (50, 25)):
+        assert run("analyze", "--geam", qubit_geam_file, "--seed", seed,
+                   "--samples", samples, "--out", out, "--no-timestamp") == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    doc = json.loads(outs[0].read_text())
+    assert doc["format"] == "analysis/2"
+    assert "seed" not in doc and "samples" not in doc
+
+
 def test_witness_and_certify_chain(tmp_path, qubit_geam_file):
     wpath = tmp_path / "w.json"
     assert run("witness", "--geam", qubit_geam_file, "--k", 2, "--l", 1,

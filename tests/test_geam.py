@@ -340,45 +340,60 @@ def test_stacked_coincidence_matches_per_item_calls(all_fixture_geams):
                 assert_close(stacked.reshape(-1), single, 1e-15, f"{name} {f.__name__} l={l}")
 
 
-def _coincidence_reference(geam, seed, samples):
-    """The per-sample loops analyze_geam replaced, with the per-group index
-    and the matrix-product norm they called: the three coincidence numbers."""
-    def index(x, l):
-        return sum(float(np.sum(np.abs(np.einsum("kij,ji->k", grp, x)) ** 2))
-                   for grp in geam.ops[:l])
-
-    def bound(x, l):
-        hs_norm = np.trace(x.conj().T @ x).real
-        return float(geam.derived.s * (hs_norm - 1.0 / geam.d) + geam.derived.mu(l))
-
-    rng = np.random.default_rng(seed)
-    d, n = geam.d, geam.n_groups
-    purity_resid = 0.0
-    for i in range(samples):
-        rho = random_density_matrix(d, rng, rank=1 if i % 2 else None)
-        purity_resid = max(purity_resid, abs(bound(rho, n) - index(rho, n)))
-    worst_slack = np.inf
-    gap_n = 0.0
-    for _ in range(samples):
-        x = random_trace_one_operator(d, rng)
-        for l in range(1, n + 1):
-            slack = bound(x, l) - index(x, l)
-            worst_slack = min(worst_slack, slack)
-            if l == n:
-                gap_n = max(gap_n, abs(slack))
-    return purity_resid, worst_slack, gap_n
-
-
-def test_analyze_coincidence_matches_per_sample_reference(all_fixture_geams):
+def _coincidence_cases(all_fixture_geams):
     p = qutrit_mub().params
     conjugated = build_geam(make_basis(3, p.m, unitary_seed=3), p)
-    for name, geam in {**all_fixture_geams, "qutrit_mub_conjugated": conjugated}.items():
-        for seed, samples in ((7, 200), (11, 25)):
-            got = analyze_geam(geam, seed, samples)["coincidence"]
-            ref = _coincidence_reference(geam, seed, samples)
-            keys = ("purity_relation_residual", "worst_bound_slack", "max_gap_at_full_range")
-            assert_close([got[key] for key in keys], ref, 1e-13, f"{name} seed={seed}")
-            assert got["passed"] == (ref[0] <= 1e-9 and ref[1] >= -1e-9 and ref[2] <= 1e-10)
+    return {**all_fixture_geams, "qutrit_mub_conjugated": conjugated}
+
+
+def test_coincidence_section_exact_on_fixtures(all_fixture_geams):
+    for name, geam in _coincidence_cases(all_fixture_geams).items():
+        sec = analyze_geam(geam)["coincidence"]
+        assert set(sec) == {"margins", "full_range_residual", "passed"}, name
+        assert len(sec["margins"]) == geam.n_groups, name
+        assert min(sec["margins"]) >= -1e-12, name
+        assert sec["full_range_residual"] <= 1e-12, name
+        assert sec["passed"] is True, name
+
+
+def test_coincidence_section_fails_on_broken_frame():
+    geam = qutrit_mub()
+    ops = [grp.copy() for grp in geam.ops]
+    ops[0][0] += 1e-6 * np.diag([1.0, -1.0, 0.0])  # traceless: only the frame breaks
+    broken = Geam(params=geam.params, ops=tuple(ops), basis_meta=geam.basis_meta)
+    sec = analyze_geam(broken)["coincidence"]
+    assert min(sec["margins"]) < -1e-9
+    assert sec["passed"] is False
+
+
+def test_full_range_residual_is_the_design_residual(all_fixture_geams):
+    for name, geam in _coincidence_cases(all_fixture_geams).items():
+        sec = analyze_geam(geam)["coincidence"]
+        design = conical_design_check(geam).residual
+        assert abs(sec["full_range_residual"] - design) <= 1e-15, name
+
+
+def test_analyze_draws_no_random_numbers(qubit_geam, monkeypatch):
+    expected = analyze_geam(qubit_geam)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("analyze_geam drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    assert analyze_geam(qubit_geam) == expected
+
+
+def test_coincidence_margins_bound_sampled_slack(all_fixture_geams):
+    """Bound minus index is x_t^dag (D_l - F_l) x_t for the traceless part x_t
+    of a unit-trace X, so it is at least margin_l (||X||^2 - 1/d)."""
+    rng = np.random.default_rng(31)
+    for name, geam in _coincidence_cases(all_fixture_geams).items():
+        margins = analyze_geam(geam)["coincidence"]["margins"]
+        x = np.array([random_trace_one_operator(geam.d, rng) for _ in range(200)])
+        traceless_norm = np.sum(np.abs(x) ** 2, axis=(1, 2)) - 1 / geam.d
+        for l, margin in enumerate(margins, start=1):
+            slack = coincidence_bound(geam, x, l) - coincidence_index(geam, x, l)
+            assert (slack >= margin * traceless_norm - 1e-12).all(), f"{name} l={l}"
 
 
 # --------------------------------------------- frame-expansion brute force

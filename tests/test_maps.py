@@ -6,8 +6,9 @@ import pytest
 import geamkit.maps
 from geamkit import (ValidationError, a_coefficient, build_witness, check_rotation,
                      choi_matrix, choi_witness, frame_witness, haar_unitary,
-                     phi_alpha, phi_k, phi_zero, qubit_two_group, qutrit_mub,
-                     random_rotation, rotation_set, superop_from_choi)
+                     load_witness, phi_alpha, phi_k, phi_zero, qubit_two_group,
+                     qutrit_mub, random_rotation, rotation_set, save_witness,
+                     superop_from_choi)
 from geamkit.linalg import min_eigenvalue, random_operator
 from geamkit.maps import Superoperator, Witness, _ones_complement
 
@@ -439,6 +440,36 @@ def test_choi_witness_guard_reports_the_witness_check():
     with pytest.raises(ValidationError) as raised:
         choi_witness(phi)
     assert str(raised.value) == str(expected.value)
+
+
+def test_witness_stores_the_hermitian_part_bit_for_bit(all_fixture_geams, tmp_path):
+    """build_witness keeps the symmetrized Choi matrix, and a saved witness
+    loads back to the same bytes and saves to the same file."""
+    for name, geam in all_fixture_geams.items():
+        n = geam.n_groups
+        for seed in range(3):
+            rots = rotation_set(geam, seed)
+            for k, kk in itertools.product(range(1, geam.d + 1), range(1, n + 1)):
+                for l in range(1, kk + 1):
+                    w = build_witness(geam, rots, k, l, kk)
+                    raw = choi_matrix(phi_k(geam, rots, k, l, kk))
+                    label = f"{name} seed={seed} k={k} L={l} K={kk}"
+                    assert w.w.tobytes() == ((raw + raw.conj().T) / 2).tobytes(), label
+                    first, second = tmp_path / "a.json", tmp_path / "b.json"
+                    save_witness(w, first, timestamp=False)
+                    loaded = load_witness(first)
+                    assert loaded.w.tobytes() == w.w.tobytes(), label
+                    save_witness(loaded, second, timestamp=False)
+                    assert first.read_bytes() == second.read_bytes(), label
+
+
+def test_witness_symmetrizes_within_tolerance():
+    w = np.eye(4, dtype=complex)
+    w[0, 1] = 1e-11  # a defect inside HERMITICITY_PRESERVING_TOL
+    stored = Witness(w=w).w
+    assert np.array_equal(stored, stored.conj().T)
+    assert stored[0, 1] == stored[1, 0] == 5e-12
+    assert w[0, 1] == 1e-11  # the caller's matrix is not touched
 
 
 def test_build_witness_rejects_disagreeing_routes(qubit_geam, monkeypatch):
